@@ -149,26 +149,16 @@ class dynamic_graph_t {
   /// (bucket-atomic snapshot; see the header comment for the exact
   /// guarantee).
   coo_t<V, E, W> to_coo() const {
-    coo_t<V, E, W> coo;
-    coo.num_rows = coo.num_cols = num_vertices();
-    std::vector<neighbor_t> bucket_copy;
-    for (std::size_t v = 0; v < adjacency_.size(); ++v) {
-      {
-        std::lock_guard<parallel::spinlock> guard(locks_[v]);
-        bucket_copy = adjacency_[v];
-      }
-      for (auto const& nb : bucket_copy)
-        coo.push_back(static_cast<V>(v), nb.vertex, nb.weight);
-    }
+    coo_t<V, E, W> coo = gather();
     sort_and_deduplicate(coo);
     return coo;
   }
 
   /// Snapshot into any graph_t instantiation — the epoch boundary between
-  /// ingest and analytics.
+  /// ingest and analytics.  `from_coo` does the only sort.
   template <typename GraphT>
   GraphT snapshot() const {
-    return from_coo<GraphT>(to_coo());
+    return from_coo<GraphT>(gather());
   }
 
   // --- Epoch publication ----------------------------------------------------
@@ -311,6 +301,23 @@ class dynamic_graph_t {
             "dynamic_graph: source out of range");
     expects(dst >= 0 && static_cast<std::size_t>(dst) < adjacency_.size(),
             "dynamic_graph: destination out of range");
+  }
+
+  /// The current edge set as an unsorted COO, rows ascending and each row
+  /// in bucket order; every bucket is copied under its lock.
+  coo_t<V, E, W> gather() const {
+    coo_t<V, E, W> coo;
+    coo.num_rows = coo.num_cols = num_vertices();
+    std::vector<neighbor_t> bucket_copy;
+    for (std::size_t v = 0; v < adjacency_.size(); ++v) {
+      {
+        std::lock_guard<parallel::spinlock> guard(locks_[v]);
+        bucket_copy = adjacency_[v];
+      }
+      for (auto const& nb : bucket_copy)
+        coo.push_back(static_cast<V>(v), nb.vertex, nb.weight);
+    }
+    return coo;
   }
 
   /// Append one mutation to the pending segment.  Called while the

@@ -2,14 +2,16 @@
 
 /// \file parallel/sort.hpp
 /// \brief Parallel merge sort on the thread pool — the comparison-sort
-/// primitive behind graph construction (canonical edge ordering) and
-/// frontier uniquify at scale.
+/// primitive behind degree-ordered vertex relabeling (graph/reorder.hpp).
+/// Graph construction does not use it: its canonical edge order comes from
+/// the counting sorts in graph/build.hpp.
 ///
 /// Straightforward blocked design: sort P' chunks in parallel with
 /// std::sort, then merge pairwise in parallel rounds.  O(n log n) work,
 /// O(log chunks) merge rounds, one auxiliary buffer.  Stability is NOT
-/// guaranteed (chunk-local std::sort is unstable); use sort_stable for the
-/// builder paths that must preserve first-occurrence order.
+/// guaranteed (chunk-local std::sort is unstable); a caller that needs a
+/// deterministic order breaks ties in the comparator, as order_by_degree
+/// does with the vertex id.
 
 #include <algorithm>
 #include <cstddef>

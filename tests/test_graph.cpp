@@ -2,8 +2,14 @@
 // graph_t views, and structural property checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "generators/generators.hpp"
 #include "graph/build.hpp"
 #include "graph/formats.hpp"
 #include "graph/graph.hpp"
@@ -25,6 +31,87 @@ g::coo_t<> diamond() {
   coo.push_back(1, 3, 3.0f);
   coo.push_back(2, 3, 3.0f);
   return coo;
+}
+
+/// An R-MAT multigraph with random weights: hubs, repeated edges and
+/// self-loops, in generation order.
+g::coo_t<> rmat_multigraph(int scale, std::uint64_t seed, double a = 0.57) {
+  essentials::generators::rmat_options opt;
+  opt.scale = scale;
+  opt.edge_factor = 8;
+  opt.a = a;
+  opt.b = opt.c = (1.0 - a) / 3.0;
+  opt.weights = {0.5f, 4.0f};
+  opt.seed = seed;
+  return essentials::generators::rmat(opt);
+}
+
+/// `in` sorted by (row, column): std::stable_sort of (row, column, input
+/// index), so repeated edges stay in input order.
+g::coo_t<> reference_sort(g::coo_t<> const& in) {
+  std::vector<std::tuple<vertex_t, vertex_t, std::size_t>> keyed;
+  for (std::size_t i = 0; i < in.row_indices.size(); ++i)
+    keyed.emplace_back(in.row_indices[i], in.column_indices[i], i);
+  std::stable_sort(keyed.begin(), keyed.end());
+  g::coo_t<> out;
+  out.num_rows = in.num_rows;
+  out.num_cols = in.num_cols;
+  for (auto const& [r, c, i] : keyed)
+    out.push_back(r, c, in.values[i]);
+  return out;
+}
+
+/// The builder's specification, kept independent of it: reference_sort,
+/// then each run of equal (row, column) merged in order under `policy`.
+g::coo_t<> reference_sort_dedup(g::coo_t<> const& in,
+                                g::duplicate_policy policy) {
+  auto const sorted = reference_sort(in);
+  g::coo_t<> out;
+  out.num_rows = in.num_rows;
+  out.num_cols = in.num_cols;
+  for (std::size_t k = 0; k < sorted.row_indices.size(); ++k) {
+    vertex_t const r = sorted.row_indices[k];
+    vertex_t const c = sorted.column_indices[k];
+    weight_t const w = sorted.values[k];
+    if (out.row_indices.empty() || out.row_indices.back() != r ||
+        out.column_indices.back() != c) {
+      out.push_back(r, c, w);
+    } else if (policy == g::duplicate_policy::keep_min) {
+      out.values.back() = std::min(out.values.back(), w);
+    } else if (policy == g::duplicate_policy::sum) {
+      out.values.back() += w;
+    }
+  }
+  return out;
+}
+
+/// Same dimensions and edges, with weights equal bit for bit.
+void expect_same_coo(g::coo_t<> const& got, g::coo_t<> const& want) {
+  EXPECT_EQ(got.num_rows, want.num_rows);
+  EXPECT_EQ(got.num_cols, want.num_cols);
+  EXPECT_EQ(got.row_indices, want.row_indices);
+  EXPECT_EQ(got.column_indices, want.column_indices);
+  ASSERT_EQ(got.values.size(), want.values.size());
+  for (std::size_t k = 0; k < got.values.size(); ++k)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got.values[k]),
+              std::bit_cast<std::uint32_t>(want.values[k]))
+        << "edge " << k;
+}
+
+/// Test-name suffix of a duplicate_policy parameter.
+std::string policy_name(
+    ::testing::TestParamInfo<g::duplicate_policy> const& info) {
+  char const* const names[] = {"keep_first", "keep_min", "sum"};
+  return names[static_cast<int>(info.param)];
+}
+
+/// Run sort_and_deduplicate on a copy of `in` and compare it with the
+/// reference.
+void expect_matches_reference(g::coo_t<> const& in,
+                              g::duplicate_policy policy) {
+  auto got = in;
+  g::sort_and_deduplicate(got, policy);
+  expect_same_coo(got, reference_sort_dedup(in, policy));
 }
 
 }  // namespace
@@ -59,14 +146,35 @@ TEST(Build, CscMirrorsInEdges) {
 }
 
 TEST(Build, TransposeToCscAgreesWithBuildCsc) {
-  auto coo = diamond();
-  g::sort_and_deduplicate(coo);
-  auto const csr = g::build_csr(coo);
-  auto const a = g::build_csc(coo);
-  auto const b = g::transpose_to_csc(csr);
-  EXPECT_EQ(a.column_offsets, b.column_offsets);
-  EXPECT_EQ(a.row_indices, b.row_indices);
-  EXPECT_EQ(a.values, b.values);
+  for (auto coo : {diamond(), rmat_multigraph(10, 3)}) {
+    g::sort_and_deduplicate(coo);
+    auto const csr = g::build_csr(coo);
+    // A sorted COO is the CSR's edge order.
+    EXPECT_EQ(csr.column_indices, coo.column_indices);
+    EXPECT_EQ(csr.values, coo.values);
+    auto const a = g::build_csc(coo);
+    auto const b = g::transpose_to_csc(csr);
+    EXPECT_EQ(a.column_offsets, b.column_offsets);
+    EXPECT_EQ(a.row_indices, b.row_indices);
+    EXPECT_EQ(a.values, b.values);
+  }
+}
+
+TEST(Build, CscAndSortRejectOutOfRangeIndices) {
+  for (auto [r, c] : {std::pair{0, 2}, std::pair{2, 0}, std::pair{0, -1},
+                      std::pair{-1, 0}}) {
+    g::coo_t<> coo;
+    coo.num_rows = coo.num_cols = 2;
+    coo.push_back(1, 0, 2.0f);
+    coo.push_back(r, c, 1.0f);
+    coo.push_back(0, 1, 3.0f);
+    EXPECT_THROW(g::build_csc(coo), essentials::graph_error)
+        << "(" << r << ", " << c << ")";
+    auto const before = coo;
+    EXPECT_THROW(g::sort_and_deduplicate(coo), essentials::graph_error)
+        << "(" << r << ", " << c << ")";
+    expect_same_coo(coo, before);  // nothing written before the throw
+  }
 }
 
 TEST(Build, SortAndDeduplicateKeepFirst) {
@@ -143,6 +251,58 @@ TEST(Build, AdjacencyListRoundTrip) {
   EXPECT_EQ(csr.column_indices, csr2.column_indices);
   EXPECT_EQ(csr.values, csr2.values);
 }
+
+// --- sort_and_deduplicate against the reference, under every policy ----------
+
+class BuildDifferential : public ::testing::TestWithParam<g::duplicate_policy> {
+};
+
+TEST_P(BuildDifferential, RmatMultigraphsMatchReference) {
+  // The default R-MAT skew and a steeper one: hubs with many repeats.
+  for (double const a : {0.57, 0.75}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      auto const coo = rmat_multigraph(9, seed, a);
+      auto const ref = reference_sort_dedup(coo, GetParam());
+      ASSERT_LT(ref.row_indices.size(), coo.row_indices.size())
+          << "the input has repeated edges";
+      expect_matches_reference(coo, GetParam());
+    }
+  }
+}
+
+TEST_P(BuildDifferential, SortedInputMatchesReference) {
+  // The snapshot path hands over rows in order.  Input already sorted by
+  // (row, column), with or without its repeats, must match too.
+  auto const raw = rmat_multigraph(8, 5);
+  expect_matches_reference(reference_sort(raw), GetParam());
+  auto canonical = raw;
+  g::sort_and_deduplicate(canonical, GetParam());
+  expect_matches_reference(canonical, GetParam());
+}
+
+TEST_P(BuildDifferential, EmptyGraphsAndEmptyRows) {
+  g::coo_t<> none;  // 0 vertices, 0 edges
+  expect_matches_reference(none, GetParam());
+  g::coo_t<> edgeless;
+  edgeless.num_rows = edgeless.num_cols = 7;
+  expect_matches_reference(edgeless, GetParam());
+
+  // Only every fifth row has edges, the first and last rows none; each
+  // row's columns run backwards, twice.
+  g::coo_t<> sparse;
+  sparse.num_rows = sparse.num_cols = 101;
+  for (vertex_t r = 5; r < 100; r += 5)
+    for (vertex_t k = 0; k < 12; ++k)
+      sparse.push_back(r, 100 - 7 * (k % 6),
+                       0.25f * static_cast<weight_t>(k + r));
+  expect_matches_reference(sparse, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, BuildDifferential,
+                         ::testing::Values(g::duplicate_policy::keep_first,
+                                           g::duplicate_policy::keep_min,
+                                           g::duplicate_policy::sum),
+                         policy_name);
 
 // --- graph_t ------------------------------------------------------------------
 

@@ -120,19 +120,38 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IoFuzz,
 // leaving the mapping (exercised under ASan in CI).
 // ---------------------------------------------------------------------------
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <system_error>
 #include <vector>
 
 #include "io/mapped.hpp"
 
 namespace {
 
-std::filesystem::path fuzz_dir() {
-  auto const d = std::filesystem::temp_directory_path() / "essentials-io-fuzz";
-  std::filesystem::create_directories(d);
-  return d;
+/// This process's scratch directory, removed when the process exits.
+/// ctest runs every seed in its own process, concurrently under -j, and
+/// the file names below are fixed: in one shared directory a process could
+/// truncate a file another has mapped, which kills the reader with SIGBUS.
+/// The pid keeps the processes apart.
+std::filesystem::path const& fuzz_dir() {
+  struct scratch_dir {
+    std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("essentials-io-fuzz-" + std::to_string(::getpid()));
+    scratch_dir() { std::filesystem::create_directories(path); }
+    scratch_dir(scratch_dir const&) = delete;
+    scratch_dir& operator=(scratch_dir const&) = delete;
+    ~scratch_dir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  };
+  static scratch_dir const dir;
+  return dir.path;
 }
 
 std::string read_file(std::filesystem::path const& p) {

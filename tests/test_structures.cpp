@@ -249,6 +249,35 @@ TEST(DynamicGraph, SnapshotFeedsAnalytics) {
                   0.5f);
 }
 
+TEST(DynamicGraph, SnapshotMatchesSortedCoo) {
+  // Removals swap the last neighbor forward, so buckets are out of column
+  // order; the snapshot's one sort must still give the canonical graph.
+  g::dynamic_graph_t<> dyn(64);
+  e::generators::rng_t rng(9);
+  for (int i = 0; i < 900; ++i) {
+    auto const u = static_cast<vertex_t>(rng.next_below(64));
+    auto const v = static_cast<vertex_t>(rng.next_below(64));
+    if (i % 5 == 4)
+      dyn.remove_edge(u, v);
+    else
+      dyn.add_edge(u, v, rng.next_float(0.5f, 2.0f));
+  }
+  auto const coo = dyn.to_coo();
+  EXPECT_TRUE(std::is_sorted(
+      coo.row_indices.begin(), coo.row_indices.end()));
+  auto const want = g::from_coo<g::graph_full>(coo);
+  auto const got = dyn.snapshot<g::graph_full>();
+  EXPECT_EQ(got.csr().row_offsets, want.csr().row_offsets);
+  EXPECT_EQ(got.csr().column_indices, want.csr().column_indices);
+  EXPECT_EQ(got.csr().values, want.csr().values);
+  EXPECT_EQ(got.csc().column_offsets, want.csc().column_offsets);
+  EXPECT_EQ(got.csc().row_indices, want.csc().row_indices);
+  EXPECT_EQ(got.csc().values, want.csc().values);
+  EXPECT_EQ(got.coo().row_indices, coo.row_indices);
+  EXPECT_EQ(got.coo().column_indices, coo.column_indices);
+  EXPECT_EQ(got.coo().values, coo.values);
+}
+
 TEST(DynamicGraph, OutOfRangeThrows) {
   g::dynamic_graph_t<> dyn(2);
   EXPECT_THROW(dyn.add_edge(0, 5, 1.0f), e::graph_error);
