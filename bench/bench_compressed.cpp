@@ -2,9 +2,8 @@
 // written to BENCH_compressed.json for CI.  Four questions:
 //
 //   decode      — how fast does the group-varint block codec turn adjacency
-//                 bytes back into vertex ids, versus the scalar LEB128
-//                 baseline it replaced?  Floor: >= 4x on rmat-12 (override
-//                 with ESSENTIALS_DECODE_FLOOR, 0 disables).
+//                 bytes back into vertex ids?  Reported in GB/s of decoded
+//                 ids, not gated.
 //   parity      — what does running `advance` straight on compressed CSR
 //                 cost versus plain CSR at 8 threads?  Floor: >= 0.7x of
 //                 plain (ESSENTIALS_PARITY_FLOOR override; the gate only
@@ -121,17 +120,8 @@ int main(int argc, char** argv) {
   g::graph_csr flat;
   flat.set_csr(csr);
   g::compressed_graph<> const cg(csr);
-  g::varint_graph<> const vg(csr);
 
-  // --- decode throughput: block codec vs scalar LEB128 baseline ------------
-  double const scalar_gbps = sweep_gbps(m, [&vg, &csr] {
-    std::uint64_t sink = 0;
-    for (vertex_t v = 0; v < csr.num_rows; ++v)
-      vg.for_each_neighbor(v, [&sink](vertex_t nb, weight_t) {
-        sink += static_cast<std::uint64_t>(nb);
-      });
-    return sink;
-  });
+  // --- decode throughput: block codec ---------------------------------------
   double const block_gbps = sweep_gbps(m, [&cg] {
     alignas(64) vertex_t out[g::blockcodec::block_edges];
     std::uint64_t sink = 0;
@@ -141,7 +131,6 @@ int main(int argc, char** argv) {
     }
     return sink;
   });
-  double const decode_speedup = scalar_gbps > 0 ? block_gbps / scalar_gbps : 0;
 
   // --- operator parity: advance on compressed vs plain CSR -----------------
   unsigned const hw = std::thread::hardware_concurrency();
@@ -214,8 +203,7 @@ int main(int argc, char** argv) {
       "  \"graph\": {\"kind\": \"rmat\", \"scale\": %d, \"edge_factor\": %d, "
       "\"vertices\": %lld, \"edges\": %zu},\n"
       "  \"block_edges\": %zu, \"reps\": %d, \"statistic\": \"median\",\n"
-      "  \"decode\": {\"scalar_varint_gbps\": %.3f, \"block_gbps\": %.3f, "
-      "\"speedup\": %.2f},\n"
+      "  \"decode\": {\"block_gbps\": %.3f},\n"
       "  \"parity\": {\"threads\": %zu, \"plain_advance_ms\": %.4f, "
       "\"compressed_advance_ms\": %.4f, \"ratio\": %.3f, "
       "\"gate_armed\": %s},\n"
@@ -225,16 +213,15 @@ int main(int argc, char** argv) {
       "\"bfs\": %.3f},\n"
       "  \"mapped_bfs_matches_plain\": %s\n}\n",
       kScale, kEdgeFactor, static_cast<long long>(csr.num_rows), m,
-      g::blockcodec::block_edges, kReps, scalar_gbps, block_gbps,
-      decode_speedup, parity_threads, plain_s * 1e3, comp_s * 1e3, parity,
+      g::blockcodec::block_edges, kReps, block_gbps, parity_threads,
+      plain_s * 1e3, comp_s * 1e3, parity,
       hw >= 8 ? "true" : "false", bytes_per_edge, bytes_ratio,
       static_cast<std::size_t>(cg.adjacency_bytes()), rss, ratio_original,
       ratio_degree, ratio_bfs, mapped_bfs_ok ? "true" : "false");
   std::fclose(f);
 
   std::printf("bench: wrote %s\n", path);
-  std::printf("  decode: scalar %.3f GB/s  block %.3f GB/s  (%.2fx)\n",
-              scalar_gbps, block_gbps, decode_speedup);
+  std::printf("  decode: block %.3f GB/s\n", block_gbps);
   std::printf("  advance parity @ %zu threads: %.3f  (plain %.3f ms, "
               "compressed %.3f ms)\n",
               parity_threads, parity, plain_s * 1e3, comp_s * 1e3);
@@ -255,14 +242,6 @@ int main(int argc, char** argv) {
                  "FAIL: compressed adjacency is %.3fx of raw (bar: <= 0.5x "
                  "on sorted rmat)\n",
                  bytes_ratio);
-    return 1;
-  }
-  double const decode_floor = env_floor("ESSENTIALS_DECODE_FLOOR", 4.0);
-  if (decode_floor > 0 && decode_speedup < decode_floor) {
-    std::fprintf(stderr,
-                 "FAIL: block decode only %.2fx the scalar baseline "
-                 "(bar: %.1fx; override ESSENTIALS_DECODE_FLOOR)\n",
-                 decode_speedup, decode_floor);
     return 1;
   }
   double const parity_floor = env_floor("ESSENTIALS_PARITY_FLOOR", 0.7);

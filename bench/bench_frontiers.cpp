@@ -15,8 +15,7 @@
 //
 // The frontier-generation contention sweep (BM_FrontierGeneration/*)
 // additionally quantifies the publication-strategy axis: per-element
-// locking (Listing 3) vs chunk-bulk locking vs lock-free scan compaction,
-// at 1..8 threads.
+// locking (Listing 3) vs lock-free scan compaction, at 1..8 threads.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -136,12 +135,11 @@ void BM_MessagePassingFrontierExchange(benchmark::State& state) {
 // --- frontier-generation contention sweep -----------------------------------
 //
 // Experiment for the communication pillar's scan-compaction claim: publish
-// 2^20 elements into a sparse frontier under the three generation
+// 2^20 elements into a sparse frontier under the two generation
 // strategies, at 1..8 worker threads.  The workload is emission-bound (the
 // producer body does no other work), so this isolates publication cost:
 //  - listing3 (per-element spinlock) should *degrade* as threads are added
 //    (the lock serializes and coherence traffic grows);
-//  - bulk (one lock per chunk) should stay roughly flat;
 //  - scan (lane buffers + prefix-sum compaction) should scale with threads,
 //    since the output path takes no locks or atomics at all.
 // Throughput is items/sec — read the cross-strategy ratio at each thread
@@ -197,9 +195,6 @@ void BM_FrontierGenerationScanDedup(benchmark::State& state) {
 
 BENCHMARK(BM_FrontierGeneration<e::execution::frontier_gen::listing3>)
     ->Name("BM_FrontierGeneration/listing3")
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-BENCHMARK(BM_FrontierGeneration<e::execution::frontier_gen::bulk>)
-    ->Name("BM_FrontierGeneration/bulk")
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_FrontierGeneration<e::execution::frontier_gen::scan>)
     ->Name("BM_FrontierGeneration/scan")

@@ -1,10 +1,9 @@
 // bench_operators — operator-level ablations of the design choices
 // DESIGN.md calls out, anchored on paper Listing 3:
 //
-//  - per-discovery mutex (the literal Listing 3 formulation) vs lane-local
-//    buffers with bulk publication (the pre-scan default) vs lock-free
-//    scan compaction (the current default) — what short critical sections
-//    buy, and then what eliminating the lock entirely buys on top;
+//  - per-discovery mutex (the literal Listing 3 formulation) vs lock-free
+//    scan compaction (the default) — what eliminating the output lock
+//    buys;
 //  - uniquify by sort vs by claim-bitmap — the frontier-dedup strategy
 //    trade (O(F log F) comparison sort vs O(F) + O(V) bitmap);
 //  - sparse-output vs dense-output advance — paying bitmap writes to get
@@ -63,17 +62,6 @@ void BM_AdvanceScanCompaction(benchmark::State& state) {
         op::advance_push(e::execution::par, graph(), in, always).size());
 }
 
-void BM_AdvanceBulkBuffered(benchmark::State& state) {
-  // Ablation: lane-local buffers published under one spinlock per chunk
-  // (the pre-scan default), pinned explicitly now that `par` means scan.
-  auto const in = frontier_of(static_cast<std::size_t>(state.range(0)));
-  auto const policy =
-      e::execution::par.with_frontier(e::execution::frontier_gen::bulk);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        op::advance_push(policy, graph(), in, always).size());
-}
-
 void BM_AdvanceScanDedup(benchmark::State& state) {
   // Scan + claim-bitmap dedup: the output is a set; measures the bitmap's
   // cost against BM_AdvanceScanCompaction's multiset output.
@@ -103,7 +91,7 @@ void BM_AdvanceDenseOutput(benchmark::State& state) {
 void BM_AdvanceEdgeBalanced(benchmark::State& state) {
   // §IV-C load balancing ablation: edges (not vertices) are the unit of
   // work, so a hub vertex no longer serializes one lane.  Compare with
-  // BM_AdvanceBulkBuffered (thread-mapped) on the same skewed frontier.
+  // BM_AdvanceScanCompaction (thread-mapped) on the same skewed frontier.
   auto const in = frontier_of(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state)
     benchmark::DoNotOptimize(
@@ -168,7 +156,7 @@ void BM_UniquifyBitmap(benchmark::State& state) {
 }
 
 void BM_CompressedVsFlatTraversal(benchmark::State& state) {
-  // Varint-delta compressed adjacency vs flat CSR: decode ALU traded for
+  // Block-coded compressed adjacency vs flat CSR: decode ALU traded for
   // memory footprint.  Label reports the compression ratio.
   static auto const csr = [] {
     auto coo = e::generators::grid_2d(256, 256, {1.0f, 4.0f});
@@ -213,8 +201,6 @@ BENCHMARK(BM_AdvanceScanCompaction)->Arg(1 << 8)->Arg(1 << 12)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AdvanceScanDedup)->Arg(1 << 8)->Arg(1 << 12)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_AdvanceBulkBuffered)->Arg(1 << 8)->Arg(1 << 12)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AdvanceListing3Mutex)->Arg(1 << 8)->Arg(1 << 12)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AdvanceDenseOutput)->Arg(1 << 8)->Arg(1 << 12)
@@ -236,7 +222,7 @@ BENCHMARK(BM_ExclusiveScan)->Arg(1 << 16)->Arg(1 << 22);
 // the traces next to the timing output — so every benchmark run leaves a
 // machine-readable record of the *work* (edges inspected/relaxed, pool
 // occupancy, lock-free vs locked emits) behind the timings.  A second
-// artifact, BENCH_frontier.json, reports edges/sec for the three
+// artifact, BENCH_frontier.json, reports edges/sec for the two
 // frontier-generation strategies on the largest seeded frontier (timed over
 // several repetitions, work counts from telemetry) — the headline
 // scan-vs-lock number CI uploads.
@@ -259,11 +245,6 @@ int main(int argc, char** argv) {
   });
   record("advance_push.scan_dedup", [&] {
     op::advance_push(e::execution::par.with_dedup(), graph(), in, always);
-  });
-  record("advance_push.bulk_buffered", [&] {
-    op::advance_push(
-        e::execution::par.with_frontier(e::execution::frontier_gen::bulk),
-        graph(), in, always);
   });
   record("advance_push.listing3_mutex", [&] {
     op::neighbors_expand_listing3(e::execution::par, graph(), in, always);
@@ -313,7 +294,6 @@ int main(int argc, char** argv) {
   };
   namespace ex = e::execution;
   measure("scan", ex::par);
-  measure("bulk", ex::par.with_frontier(ex::frontier_gen::bulk));
   measure("listing3", ex::par.with_frontier(ex::frontier_gen::listing3));
 
   // Representation footprint: what the same graph costs as block-coded CSR

@@ -9,23 +9,17 @@
 // the same binary shows the real curve on real hardware.
 //
 // The custom main (replacing BENCHMARK_MAIN) writes BENCH_scaling.json for
-// CI: best-of-N advance latency on rmat-12 at 1/2/4/8 threads on the
-// stealing substrate, plus stealing-vs-central at 8 threads.  Two bars are
-// enforced like the existing frontier/engine/delta bars:
-//  - scaling-efficiency floor: >= 3.5x speedup at 8 threads over 1, gated
-//    on hardware_concurrency() >= 8 (a 1-core container cannot scale);
-//    ESSENTIALS_SCALING_FLOOR overrides the floor (0 disables).
-//  - substrate parity: the stealing pool beats-or-matches the central
-//    queue at 8 threads (>= 0.85x throughput, absorbing noise), gated on
-//    hardware_concurrency() >= 4.
-// The process exits nonzero when an enforced bar fails.
+// CI: best-of-N advance latency on rmat-12 at 1/2/4/8 threads.  One bar is
+// enforced like the existing frontier/engine/delta bars: a
+// scaling-efficiency floor of >= 3.5x speedup at 8 threads over 1, gated
+// on hardware_concurrency() >= 8 (a 1-core container cannot scale);
+// ESSENTIALS_SCALING_FLOOR overrides the floor (0 disables).  The process
+// exits nonzero when the enforced bar fails.
 //
 // It also writes BENCH_numa.json: the discovered machine topology, a
-// per-socket scaling curve on the tiered-stealing substrate (degenerate
-// single-socket curve on one-package hardware), tiered-vs-flat steal-order
-// parity at 8 threads (>= 0.85x, gated on hw >= 4 — the "topology layer is
-// a measured no-op on flat hardware" acceptance bar), and first-touch vs
-// constructor-touch fill bandwidth for a CSR-build-sized array.
+// per-socket scaling curve (degenerate single-socket curve on one-package
+// hardware), and first-touch vs constructor-touch fill bandwidth for a
+// CSR-build-sized array.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -149,7 +143,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  // --- BENCH_scaling.json: advance strong scaling + substrate parity ------
+  // --- BENCH_scaling.json: advance strong scaling --------------------------
   std::size_t const hw = std::thread::hardware_concurrency();
 
   std::vector<e::vertex_t> seeds;
@@ -160,24 +154,15 @@ int main(int argc, char** argv) {
   struct point {
     std::size_t threads;
     double best_sec;
-    double speedup;  // vs the 1-thread stealing pool
+    double speedup;  // vs the 1-thread pool
   };
   std::vector<point> curve;
   for (std::size_t t : {1u, 2u, 4u, 8u}) {
-    e::parallel::thread_pool pool(t, e::parallel::queue_mode::stealing);
+    e::parallel::thread_pool pool(t);
     curve.push_back({t, measure_advance(pool, in), 0.0});
   }
   for (auto& p : curve)
     p.speedup = p.best_sec > 0 ? curve.front().best_sec / p.best_sec : 0.0;
-
-  double central_sec;
-  {
-    e::parallel::thread_pool central(8, e::parallel::queue_mode::central);
-    central_sec = measure_advance(central, in);
-  }
-  double const stealing_sec = curve.back().best_sec;
-  double const parity =
-      stealing_sec > 0 ? central_sec / stealing_sec : 0.0;  // >1: stealing wins
 
   double floor = 3.5;
   bool floor_enforced = hw >= 8;
@@ -185,8 +170,6 @@ int main(int argc, char** argv) {
     floor = std::atof(env);
     floor_enforced = floor > 0.0;
   }
-  bool const parity_enforced = hw >= 4;
-  constexpr double parity_bar = 0.85;
 
   char const* const path = "BENCH_scaling.json";
   if (std::FILE* f = std::fopen(path, "w")) {
@@ -197,13 +180,10 @@ int main(int argc, char** argv) {
                  "\"edge_factor\": 16, \"vertices\": %lld, \"edges\": %lld},\n"
                  "  \"hardware_concurrency\": %zu,\n"
                  "  \"floor_speedup_8t\": %.2f,\n"
-                 "  \"floor_enforced\": %s,\n"
-                 "  \"parity_bar\": %.2f,\n"
-                 "  \"parity_enforced\": %s,\n  \"threads\": [\n",
+                 "  \"floor_enforced\": %s,\n  \"threads\": [\n",
                  static_cast<long long>(artifact_graph().get_num_vertices()),
                  static_cast<long long>(artifact_graph().get_num_edges()), hw,
-                 floor, floor_enforced ? "true" : "false", parity_bar,
-                 parity_enforced ? "true" : "false");
+                 floor, floor_enforced ? "true" : "false");
     for (std::size_t i = 0; i < curve.size(); ++i) {
       auto const& p = curve[i];
       std::fprintf(f,
@@ -212,10 +192,7 @@ int main(int argc, char** argv) {
                    p.threads, p.best_sec * 1e3, p.speedup,
                    i + 1 < curve.size() ? "," : "");
     }
-    std::fprintf(f,
-                 "  ],\n  \"substrates_8t\": {\"stealing_ms\": %.3f, "
-                 "\"central_ms\": %.3f, \"central_over_stealing\": %.3f}\n}\n",
-                 stealing_sec * 1e3, central_sec * 1e3, parity);
+    std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
   } else {
     std::fprintf(stderr, "failed to write %s\n", path);
@@ -225,19 +202,16 @@ int main(int argc, char** argv) {
   for (auto const& p : curve)
     std::printf("  %zu threads: %8.3f ms  (%.2fx)\n", p.threads,
                 p.best_sec * 1e3, p.speedup);
-  std::printf("  8t substrates: stealing %.3f ms, central %.3f ms (%.2fx)\n",
-              stealing_sec * 1e3, central_sec * 1e3, parity);
 
-  // --- BENCH_numa.json: topology, per-socket curve, steal-order parity,
-  // first-touch bandwidth ---------------------------------------------------
+  // --- BENCH_numa.json: topology, per-socket curve, first-touch bandwidth --
   auto const& topo = e::parallel::system_topology();
   std::size_t const sockets =
       std::max<std::size_t>(topo.num_packages, 1);
   std::size_t const cores_per_socket =
       std::max<std::size_t>(topo.num_cores / sockets, 1);
 
-  // Per-socket strong scaling: s sockets' worth of cores on the tiered
-  // substrate.  One package => one point (the degenerate curve).
+  // Per-socket strong scaling: s sockets' worth of cores.  One package =>
+  // one point (the degenerate curve).
   struct socket_point {
     std::size_t sockets;
     std::size_t threads;
@@ -247,33 +221,12 @@ int main(int argc, char** argv) {
   std::vector<socket_point> socket_curve;
   for (std::size_t s = 1; s <= sockets; ++s) {
     std::size_t const t = s * cores_per_socket;
-    e::parallel::thread_pool pool(t, e::parallel::queue_mode::stealing,
-                                  e::parallel::steal_order::tiered);
+    e::parallel::thread_pool pool(t);
     socket_curve.push_back({s, t, measure_advance(pool, in), 0.0});
   }
   for (auto& p : socket_curve)
     p.speedup =
         p.best_sec > 0 ? socket_curve.front().best_sec / p.best_sec : 0.0;
-
-  // Tiered vs flat steal order at 8 threads.  On single-socket hardware the
-  // tiers collapse to one, so this measures the overhead of the tier walk
-  // itself — the bar enforces "topology awareness costs nothing when there
-  // is no topology".
-  double tiered_sec, flat_sec;
-  {
-    e::parallel::thread_pool pool(8, e::parallel::queue_mode::stealing,
-                                  e::parallel::steal_order::tiered);
-    tiered_sec = measure_advance(pool, in);
-  }
-  {
-    e::parallel::thread_pool pool(8, e::parallel::queue_mode::stealing,
-                                  e::parallel::steal_order::flat);
-    flat_sec = measure_advance(pool, in);
-  }
-  double const steal_parity =
-      tiered_sec > 0 ? flat_sec / tiered_sec : 0.0;  // >1: tiered wins
-  bool const steal_parity_enforced = hw >= 4;
-  constexpr double steal_parity_bar = 0.85;
 
   // First-touch (page-parallel on the pool) vs constructor-touch (serial
   // value-init, what std::vector always did) fill bandwidth over a
@@ -281,8 +234,7 @@ int main(int argc, char** argv) {
   std::size_t const fill_n = std::size_t{1} << 23;  // 64 MiB of doubles
   double ft_sec = 1e300, ct_sec = 1e300;
   {
-    e::parallel::thread_pool pool(8, e::parallel::queue_mode::stealing,
-                                  e::parallel::steal_order::tiered);
+    e::parallel::thread_pool pool(8);
     for (int s = 0; s < 3; ++s) {
       auto const t0 = std::chrono::steady_clock::now();
       auto v = e::parallel::first_touch_vector<double>(pool, fill_n, 0.0,
@@ -318,14 +270,11 @@ int main(int argc, char** argv) {
                  "\"packages\": %zu, \"nodes\": %zu, \"smt\": %s, "
                  "\"discovered\": %s},\n"
                  "  \"hardware_concurrency\": %zu,\n"
-                 "  \"steal_parity_bar\": %.2f,\n"
-                 "  \"steal_parity_enforced\": %s,\n"
                  "  \"sockets\": [\n",
                  e::parallel::numa_enabled() ? "true" : "false",
                  topo.num_cpus(), topo.num_cores, topo.num_packages,
                  topo.num_nodes, topo.smt ? "true" : "false",
-                 topo.discovered ? "true" : "false", hw, steal_parity_bar,
-                 steal_parity_enforced ? "true" : "false");
+                 topo.discovered ? "true" : "false", hw);
     for (std::size_t i = 0; i < socket_curve.size(); ++i) {
       auto const& p = socket_curve[i];
       std::fprintf(f,
@@ -335,12 +284,10 @@ int main(int argc, char** argv) {
                    i + 1 < socket_curve.size() ? "," : "");
     }
     std::fprintf(f,
-                 "  ],\n  \"steal_order_8t\": {\"tiered_ms\": %.3f, "
-                 "\"flat_ms\": %.3f, \"flat_over_tiered\": %.3f},\n"
+                 "  ],\n"
                  "  \"first_touch\": {\"bytes\": %zu, "
                  "\"first_touch_gbps\": %.2f, \"constructor_touch_gbps\": "
                  "%.2f}\n}\n",
-                 tiered_sec * 1e3, flat_sec * 1e3, steal_parity,
                  fill_n * sizeof(double), ft_gbps, ct_gbps);
     std::fclose(f);
   } else {
@@ -351,31 +298,14 @@ int main(int argc, char** argv) {
   for (auto const& p : socket_curve)
     std::printf("  %zu socket(s) / %zu threads: %8.3f ms  (%.2fx)\n",
                 p.sockets, p.threads, p.best_sec * 1e3, p.speedup);
-  std::printf("  8t steal order: tiered %.3f ms, flat %.3f ms (%.2fx)\n",
-              tiered_sec * 1e3, flat_sec * 1e3, steal_parity);
   std::printf("  fill %zu MiB: first-touch %.2f GB/s, constructor %.2f GB/s\n",
               fill_n * sizeof(double) >> 20, ft_gbps, ct_gbps);
 
-  int failures = 0;
   if (floor_enforced && curve.back().speedup < floor) {
     std::fprintf(stderr,
                  "FAIL: 8-thread speedup %.2fx below the %.2fx floor\n",
                  curve.back().speedup, floor);
-    ++failures;
+    return 1;
   }
-  if (parity_enforced && parity < parity_bar) {
-    std::fprintf(stderr,
-                 "FAIL: stealing substrate at %.2fx of central throughput "
-                 "(bar %.2fx)\n",
-                 parity, parity_bar);
-    ++failures;
-  }
-  if (steal_parity_enforced && steal_parity < steal_parity_bar) {
-    std::fprintf(stderr,
-                 "FAIL: tiered steal order at %.2fx of flat throughput "
-                 "(bar %.2fx)\n",
-                 steal_parity, steal_parity_bar);
-    ++failures;
-  }
-  return failures == 0 ? 0 : 1;
+  return 0;
 }

@@ -28,7 +28,6 @@
 /// can be pinned to differently sized pools.
 
 #include <cstddef>
-#include <cstdlib>
 #include <type_traits>
 
 #include "parallel/thread_pool.hpp"
@@ -43,17 +42,15 @@ namespace essentials::execution {
 ///                 over lane counts assigns each lane a disjoint slice of
 ///                 the preallocated output, and lanes copy in with no locks
 ///                 or atomics.  Deterministic output order.  The default.
-///  - `bulk`     — lane-local buffers published with one spinlock
-///                 acquisition per chunk (CP.43 short critical section) —
-///                 the pre-scan default, kept as an ablation baseline.
 ///  - `listing3` — paper Listing 3 verbatim: every discovered element is
 ///                 appended under the frontier's per-element lock.  The
 ///                 ablation baseline that quantifies what buffering buys.
 ///
 /// Asynchronous (`par_nosync`) operators have no superstep barrier to run
-/// the compaction phase behind, so `scan` degrades to `bulk` there —
-/// semantics are unchanged, only the publication cost differs.
-enum class frontier_gen : unsigned char { scan, bulk, listing3 };
+/// the compaction phase behind, so `scan` publishes each task's buffer with
+/// one locked append there — semantics are unchanged, only the publication
+/// cost differs.
+enum class frontier_gen : unsigned char { scan, listing3 };
 
 /// Multi-query batching knob, consumed by the engine's dequeue-time fusion
 /// window (engine/batcher.hpp) and the batchable job builders
@@ -135,27 +132,9 @@ inline constexpr std::size_t default_edge_grain = 16;
 /// binary search that locates a chunk's starting vertex amortizes over the
 /// chunk's edges, so tiny grains would shred that amortization.  One shared
 /// constant — every edge-domain strategy (edge_balanced pass 2, the
-/// degree-class medium bucket and cooperative hub expansion) floors its
-/// grain at this value.
+/// degree-class medium bucket, cooperative hub expansion and the
+/// edge-balanced neighbor reduce) floors its grain at this value.
 inline constexpr std::size_t default_edge_grain_floor = 64;
-
-/// The process-wide edge-grain floor: `default_edge_grain_floor` unless the
-/// `ESSENTIALS_EDGE_GRAIN` environment variable overrides it (read once; a
-/// value of 0 or garbage falls back to the default).  Policies capture this
-/// at construction into `edge_grain_floor`, so `with_edge_grain_floor`
-/// still overrides per call site.
-inline std::size_t edge_grain_floor_from_env() {
-  static std::size_t const floor = [] {
-    if (char const* const env = std::getenv("ESSENTIALS_EDGE_GRAIN")) {
-      char* end = nullptr;
-      unsigned long long const v = std::strtoull(env, &end, 10);
-      if (end != env && v > 0)
-        return static_cast<std::size_t>(v);
-    }
-    return default_edge_grain_floor;
-  }();
-  return floor;
-}
 
 /// Sequential policy: run in the invoking thread.
 struct sequenced_policy {
@@ -183,10 +162,6 @@ class parallel_policy {
   /// heuristic note on `default_edge_grain`.
   std::size_t edge_grain = default_edge_grain;
 
-  /// Floor (in edges) for edge-domain chunk sizes (see
-  /// `default_edge_grain_floor`); seeded from `ESSENTIALS_EDGE_GRAIN`.
-  std::size_t edge_grain_floor = edge_grain_floor_from_env();
-
   /// Sparse-frontier generation strategy (see `frontier_gen`).
   frontier_gen frontier = frontier_gen::scan;
 
@@ -203,7 +178,7 @@ class parallel_policy {
   bool dedup = false;
 
   // Builder-style copies, so the const `execution::par` instance composes:
-  //   auto p = execution::par.with_frontier(frontier_gen::bulk).with_dedup();
+  //   auto p = execution::par.with_frontier(gen).with_dedup();
   parallel_policy with_grain(std::size_t g) const {
     auto p = *this;
     p.grain = g;
@@ -227,11 +202,6 @@ class parallel_policy {
   parallel_policy with_load_balance(load_balance lb) const {
     auto p = *this;
     p.balance = lb;
-    return p;
-  }
-  parallel_policy with_edge_grain_floor(std::size_t f) const {
-    auto p = *this;
-    p.edge_grain_floor = f;
     return p;
   }
 
@@ -258,8 +228,8 @@ class parallel_nosync_policy {
   std::size_t edge_grain = default_edge_grain;
 
   /// Publication strategy for the caller-owned output frontier.  `scan`
-  /// requires a barrier and therefore behaves as `bulk` here (documented
-  /// degradation); `listing3` is honored for ablations.
+  /// requires a barrier, so here it publishes one locked append per task
+  /// (documented degradation); `listing3` is honored for ablations.
   frontier_gen frontier = frontier_gen::scan;
 
   /// Claim-bitmap dedup is not offered asynchronously: without a superstep

@@ -181,48 +181,6 @@ generate_stats generate_scan(parallel::thread_pool& pool, std::size_t n,
   return stats;
 }
 
-/// Ablation baseline "bulk": every chunk buffers into a freshly allocated
-/// local vector and publishes it with one spinlock acquisition
-/// (`append_bulk`) — the CP.43 short-critical-section path that was the
-/// default before scan compaction.  Appends to `out` (does not clear it),
-/// matching the historical operator shape.
-template <typename T, typename ChunkBody>
-generate_stats generate_bulk(parallel::thread_pool& pool, std::size_t n,
-                             std::size_t grain, sparse_frontier<T>& out,
-                             ChunkBody&& body,
-                             parallel::atomic_bitset* dedup = nullptr) {
-  generate_stats stats;
-  if (n == 0)
-    return stats;
-  std::atomic<std::size_t> emitted{0}, suppressed{0};
-  pool.run_blocked(
-      n,
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<T> local;
-        std::size_t hits = 0;
-        if (dedup != nullptr) {
-          auto emit = [&local, &hits, dedup](T v) {
-            if (dedup->test_and_set(static_cast<std::size_t>(v)))
-              local.push_back(v);
-            else
-              ++hits;
-          };
-          body(lo, hi, emit);
-        } else {
-          auto emit = [&local](T v) { local.push_back(v); };
-          body(lo, hi, emit);
-        }
-        out.append_bulk(local.data(), local.size());
-        emitted.fetch_add(local.size(), std::memory_order_relaxed);
-        if (hits)
-          suppressed.fetch_add(hits, std::memory_order_relaxed);
-      },
-      grain);
-  stats.emitted = emitted.load(std::memory_order_relaxed);
-  stats.dedup_hits = suppressed.load(std::memory_order_relaxed);
-  return stats;
-}
-
 /// Ablation baseline "listing3": the paper's exact formulation — every
 /// discovered element is appended through the frontier's public
 /// `add_vertex`, whose internal spinlock serializes *per element*.
@@ -268,7 +226,7 @@ generate_stats generate_listing3(parallel::thread_pool& pool, std::size_t n,
 }
 
 /// Strategy dispatcher: run `body` over [0, n) and publish emissions into
-/// `out` according to `mode`.  `out` is cleared first, so all three
+/// `out` according to `mode`.  `out` is cleared first, so both
 /// strategies produce the frontier from scratch (identical contents up to
 /// order; `scan`'s order is additionally deterministic).
 template <typename T, typename ChunkBody>
@@ -277,24 +235,17 @@ generate_stats generate(execution::frontier_gen mode,
                         std::size_t grain, sparse_frontier<T>& out,
                         ChunkBody&& body,
                         parallel::atomic_bitset* dedup = nullptr) {
-  switch (mode) {
-    case execution::frontier_gen::bulk:
-      out.clear();
-      return generate_bulk(pool, n, grain, out,
-                           std::forward<ChunkBody>(body), dedup);
-    case execution::frontier_gen::listing3:
-      out.clear();
-      return generate_listing3(pool, n, grain, out,
-                               std::forward<ChunkBody>(body), dedup);
-    case execution::frontier_gen::scan:
-      break;
+  if (mode == execution::frontier_gen::listing3) {
+    out.clear();
+    return generate_listing3(pool, n, grain, out,
+                             std::forward<ChunkBody>(body), dedup);
   }
   return generate_scan(pool, n, grain, out, std::forward<ChunkBody>(body),
                        dedup);
 }
 
 /// True when `stats.emitted` elements were published lock-free under
-/// `mode` (telemetry helper: scan emissions are lock-free, bulk/listing3
+/// `mode` (telemetry helper: scan emissions are lock-free, listing3
 /// emissions serialize on a lock).
 inline constexpr bool lock_free_emits(execution::frontier_gen mode) {
   return mode == execution::frontier_gen::scan;

@@ -26,8 +26,6 @@
 /// core/frontier/frontier_gen.hpp):
 ///  - `scan` (default): lane buffers + prefix-sum compaction — zero locks
 ///    and zero atomics on the output path, deterministic output order;
-///  - `bulk`: lane-local buffer published under one short lock per chunk
-///    (CP.43) — the previous default, kept as an ablation baseline;
 ///  - `listing3`: the paper's per-element-lock formulation
 ///    (`neighbors_expand_listing3` forces this mode regardless of policy).
 /// `policy.dedup` additionally suppresses duplicate output vertices with an
@@ -118,8 +116,8 @@ frontier::sparse_frontier<typename G::vertex_type> advance_push(
 
 /// Parallel synchronous push advance (one BSP superstep).  The sparse
 /// output is generated per `policy.frontier`: scan compaction (default,
-/// lock-free), bulk append (one lock per chunk), or Listing 3 per-element
-/// locking — with optional claim-bitmap dedup (`policy.dedup`).
+/// lock-free) or Listing 3 per-element locking — with optional
+/// claim-bitmap dedup (`policy.dedup`).
 template <typename G, typename Cond>
   requires advance_condition<Cond, G>
 frontier::sparse_frontier<typename G::vertex_type> advance_push(
@@ -160,8 +158,8 @@ frontier::sparse_frontier<typename G::vertex_type> advance_push(
 /// returns immediately; the caller synchronizes via
 /// `policy.pool().wait_idle()` (or not at all).  Output is appended to the
 /// caller-owned `out` frontier.  There is no barrier behind which to run a
-/// compaction phase, so `frontier_gen::scan` degrades to `bulk` (lane
-/// buffer + one locked append per task); `listing3` is honored for
+/// compaction phase, so `frontier_gen::scan` publishes through a task-local
+/// buffer and one locked `append_bulk` per task; `listing3` is honored for
 /// ablations.  The telemetry record retires when the last chunk finishes
 /// (items_out is not sampled — the output is still owned by the caller);
 /// keep any recording scope alive across the eventual `wait_idle()`.

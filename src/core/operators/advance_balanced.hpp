@@ -35,17 +35,16 @@
 /// Every strategy computes the same function as advance_push (same
 /// condition evaluations, same output multiset); only the work
 /// decomposition changes — the differential suite
-/// (tests/test_differential.cpp, LoadBalanceDifferential) pins this across
-/// generation strategies, substrates and graph families.  bench_operators
-/// measures the strategies against each other on skewed frontiers
-/// (BENCH_loadbalance.json).
+/// (tests/test_differential.cpp, LoadBalanceDifferential) pins this against
+/// `execution::seq` across generation strategies and graph families.
+/// bench_operators measures the strategies against each other on skewed
+/// frontiers (BENCH_loadbalance.json).
 ///
 /// Output generation honors the policy's `frontier_gen` strategy and
 /// `dedup` flag exactly like advance_push.  Grains in the edge domain
 /// (edge-balanced chunks, degree-class medium/huge phases) use
-/// `policy.grain` floored at `policy.edge_grain_floor` (default 64, env
-/// `ESSENTIALS_EDGE_GRAIN`) so tiny grains cannot shred the binary-search
-/// amortization.
+/// `policy.grain` floored at `execution::default_edge_grain_floor` (64) so
+/// tiny grains cannot shred the binary-search amortization.
 
 #include <algorithm>
 #include <cstddef>
@@ -206,7 +205,7 @@ edge_balanced_result edge_balanced_expand(
 
   r.stats = frontier::generate(
       policy.frontier, policy.pool(), r.total_work,
-      std::max<std::size_t>(policy.grain, policy.edge_grain_floor), out,
+      std::max(policy.grain, execution::default_edge_grain_floor), out,
       process_range, dedup);
   return r;
 }
@@ -413,7 +412,7 @@ frontier::sparse_frontier<typename G::vertex_type> advance_push_degree_class(
       frontier::sparse_frontier<V> tmp;
       note_scratch(frontier::generate(
           policy.frontier, pool, deg,
-          std::max<std::size_t>(policy.grain, policy.edge_grain_floor), tmp,
+          std::max(policy.grain, execution::default_edge_grain_floor), tmp,
           body, dedup));
       out.active().insert(out.active().end(), tmp.active().begin(),
                           tmp.active().end());
@@ -437,7 +436,7 @@ namespace detail {
 /// the best fixed strategy on the skewed sweep.
 inline execution::load_balance auto_select_strategy(
     std::size_t frontier_size, graph::degree_stats_t const& s,
-    std::size_t lanes, std::size_t edge_grain_floor) {
+    std::size_t lanes) {
   using lb = execution::load_balance;
   if (frontier_size == 0)
     return lb::thread_mapped;
@@ -450,7 +449,7 @@ inline execution::load_balance auto_select_strategy(
   double const est_work =
       static_cast<double>(frontier_size) * std::max(s.mean_degree, 1.0);
   if (est_work <
-      static_cast<double>(2 * lanes * std::max<std::size_t>(edge_grain_floor, 1)))
+      static_cast<double>(2 * lanes * execution::default_edge_grain_floor))
     return lb::thread_mapped;
   // Pronounced skew without giant hubs: triage still wins (the medium
   // bucket gets edge-balanced, the many small vertices skip the scan).
@@ -488,7 +487,7 @@ frontier::sparse_frontier<typename G::vertex_type> advance_balanced(
     if (autod) {
       auto const stats = graph::cached_out_degree_stats(g);
       strategy = detail::auto_select_strategy(
-          in.size(), stats, policy.pool().size() + 1, policy.edge_grain_floor);
+          in.size(), stats, policy.pool().size() + 1);
     }
     telemetry::op_probe probe;
     if (policy.balance != lb::thread_mapped) {

@@ -13,11 +13,11 @@
 /// Sparse outputs are published through the policy's frontier-generation
 /// strategy (`execution::frontier_gen`, see core/frontier/frontier_gen.hpp):
 /// the default scan path compacts lane buffers with a prefix sum — no locks
-/// on the output path — while `bulk`/`listing3` reproduce the historical
-/// locked paths for ablations.  `filter` ignores `policy.dedup` (it has no
-/// id universe to size a claim bitmap over; run `uniquify` for that), and
+/// on the output path — while `listing3` reproduces the paper's per-element
+/// lock for ablations.  `filter` ignores `policy.dedup` (it has no id
+/// universe to size a claim bitmap over; run `uniquify` for that), and
 /// `uniquify` *is* the dedup filter: its claim bitmap rides the generation
-/// path's dedup hook, so all three strategies produce the same set.
+/// path's dedup hook, so both strategies produce the same set.
 
 #include <algorithm>
 #include <cstddef>
@@ -48,9 +48,9 @@ frontier::sparse_frontier<T> filter(execution::sequenced_policy policy,
 
 /// Parallel synchronous filter.  Publication follows `policy.frontier`: the
 /// default scan path yields a deterministic, input-ordered output (chunk
-/// boundaries are fixed by the pool's chunking contract); the `bulk` and
-/// `listing3` ablations publish under locks in racy chunk order (frontier
-/// order is semantically a set either way).
+/// boundaries are fixed by the pool's chunking contract); the `listing3`
+/// ablation publishes under a lock in racy order (frontier order is
+/// semantically a set either way).
 template <typename T, typename Pred>
 frontier::sparse_frontier<T> filter(execution::parallel_policy policy,
                                     frontier::sparse_frontier<T> const& in,
@@ -122,7 +122,7 @@ void uniquify(execution::sequenced_policy policy,
 /// no sort.  The bitmap is exactly the generation path's dedup filter, so
 /// the survivors are published per `policy.frontier` — lock-free scan
 /// compaction by default (deterministic first-claim-wins order per the
-/// pool's chunking contract), or the `bulk`/`listing3` locked ablations.
+/// pool's chunking contract), or the `listing3` locked ablation.
 template <typename T>
 void uniquify(execution::parallel_policy policy,
               frontier::sparse_frontier<T>& f, std::size_t universe) {

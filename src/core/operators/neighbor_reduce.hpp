@@ -16,7 +16,7 @@
 /// vertex's folded value to an *activate* predicate; survivors form the
 /// next sparse frontier, published through the policy's frontier-generation
 /// strategy (`execution::frontier_gen`) — lock-free scan compaction by
-/// default, with the locked `bulk`/`listing3` paths kept as ablations.
+/// default, with the locked `listing3` path kept as an ablation.
 
 #include <algorithm>
 #include <cstddef>
@@ -142,8 +142,7 @@ frontier::sparse_frontier<T> neighbor_reduce_activate(
     bool const autod = strategy == lb::auto_select;
     if (autod) {
       strategy = detail::auto_select_strategy(
-          active.size(), graph::cached_out_degree_stats(g), pool.size() + 1,
-          policy.edge_grain_floor);
+          active.size(), graph::cached_out_degree_stats(g), pool.size() + 1);
     }
     // Vertex-aligned output: edge_balanced cannot split a fold, so only
     // the degree-class hub treatment applies (see the doc comment).
@@ -205,7 +204,7 @@ frontier::sparse_frontier<T> neighbor_reduce_activate(
             static_cast<std::size_t>(g.get_out_degree(v));
         std::size_t const step = frontier::detail::chunk_step(
             pool, deg,
-            std::max<std::size_t>(policy.grain, policy.edge_grain_floor));
+            std::max(policy.grain, execution::default_edge_grain_floor));
         std::size_t const blocks = (deg + step - 1) / step;
         std::vector<R> partials(blocks, identity);
         pool.run_blocked(

@@ -9,10 +9,9 @@
 /// — so advance / filter / neighbor_reduce run on compressed adjacency
 /// *directly* and bit-identically to plain CSR (differentially tested).
 ///
-/// Why blocks.  The previous representation (kept below as `varint_graph`,
-/// the scalar baseline the bench compares against) decoded LEB128 bytes
-/// one at a time behind a forward-only iterator: random edge access was
-/// impossible, so the operators could not run on it.  Block coding fixes
+/// Why blocks.  A byte-at-a-time LEB128 stream behind a forward-only
+/// iterator makes random edge access impossible, so the operators could
+/// not run on it, and it decodes several times slower.  Block coding fixes
 /// both problems at once:
 ///
 ///  - the edge-id space [0, E) is cut into blocks of
@@ -82,32 +81,10 @@
 namespace essentials::graph {
 
 // ---------------------------------------------------------------------------
-// Scalar LEB128 varint (the PR-kept baseline codec)
+// Zig-zag mapping for the block codec's signed deltas
 // ---------------------------------------------------------------------------
 
 namespace varint {
-
-/// Append v as LEB128.
-inline void encode(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-/// Decode one LEB128 value, advancing `pos`.
-inline std::uint64_t decode(std::uint8_t const* data, std::size_t& pos) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  for (;;) {
-    std::uint8_t const byte = data[pos++];
-    v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0)
-      return v;
-    shift += 7;
-  }
-}
 
 /// Zig-zag: signed -> unsigned with small magnitudes staying small.
 inline std::uint64_t zigzag(std::int64_t v) {
@@ -663,112 +640,13 @@ class compressed_graph
   std::vector<W> weights_;                    ///< parallel to edge ids
 };
 
-// ---------------------------------------------------------------------------
-// varint_graph: the scalar LEB128 baseline (previous representation)
-// ---------------------------------------------------------------------------
-
-/// Forward-iteration-only varint-delta graph — the byte-at-a-time decoder
-/// `compressed_graph` replaced.  Kept as the live decode baseline for
-/// bench_compressed's block-vs-scalar headline and the codec differential
-/// tests; not operator-capable (no random edge access, by design).
-template <typename V = vertex_t, typename E = edge_t, typename W = weight_t>
-class varint_graph {
- public:
-  using vertex_type = V;
-  using edge_type = E;
-  using weight_type = W;
-
-  varint_graph() = default;
-
-  explicit varint_graph(csr_t<V, E, W> const& csr)
-      : num_vertices_(csr.num_rows),
-        num_edges_(csr.num_edges()),
-        offsets_(static_cast<std::size_t>(csr.num_rows) + 1, 0),
-        weights_(csr.values.begin(), csr.values.end()) {
-    bytes_.reserve(csr.column_indices.size());  // >=1 byte per edge
-    for (V v = 0; v < csr.num_rows; ++v) {
-      offsets_[static_cast<std::size_t>(v)] = bytes_.size();
-      V prev = v;  // first delta is relative to the vertex id
-      bool first = true;
-      for (std::size_t e =
-               static_cast<std::size_t>(csr.row_offsets[static_cast<std::size_t>(v)]);
-           e < static_cast<std::size_t>(
-                   csr.row_offsets[static_cast<std::size_t>(v) + 1]);
-           ++e) {
-        V const nb = csr.column_indices[e];
-        if (first) {
-          varint::encode(bytes_, varint::zigzag(static_cast<std::int64_t>(nb) -
-                                                static_cast<std::int64_t>(v)));
-          first = false;
-        } else {
-          expects(nb > prev, "varint_graph: adjacency must be sorted "
-                             "and duplicate-free");
-          varint::encode(bytes_,
-                         static_cast<std::uint64_t>(nb - prev) - 1);
-        }
-        prev = nb;
-      }
-      degrees_.push_back(csr.row_offsets[static_cast<std::size_t>(v) + 1] -
-                         csr.row_offsets[static_cast<std::size_t>(v)]);
-    }
-    offsets_[static_cast<std::size_t>(csr.num_rows)] = bytes_.size();
-    weight_offsets_.assign(csr.row_offsets.begin(), csr.row_offsets.end());
-  }
-
-  V get_num_vertices() const { return num_vertices_; }
-  E get_num_edges() const { return num_edges_; }
-  E get_out_degree(V v) const {
-    return degrees_[static_cast<std::size_t>(v)];
-  }
-
-  std::size_t adjacency_bytes() const { return bytes_.size(); }
-  std::size_t uncompressed_adjacency_bytes() const {
-    return static_cast<std::size_t>(num_edges_) * sizeof(V);
-  }
-  double compression_ratio() const {
-    return bytes_.empty()
-               ? 1.0
-               : static_cast<double>(uncompressed_adjacency_bytes()) /
-                     static_cast<double>(bytes_.size());
-  }
-
-  /// Visit every out-neighbor of v: fn(dst, weight) — byte-at-a-time.
-  template <typename F>
-  void for_each_neighbor(V v, F&& fn) const {
-    std::size_t pos = offsets_[static_cast<std::size_t>(v)];
-    E const deg = degrees_[static_cast<std::size_t>(v)];
-    if (deg == 0)
-      return;
-    E const wbase = weight_offsets_[static_cast<std::size_t>(v)];
-    V nb = static_cast<V>(
-        static_cast<std::int64_t>(v) +
-        varint::unzigzag(varint::decode(bytes_.data(), pos)));
-    fn(nb, weights_[static_cast<std::size_t>(wbase)]);
-    for (E k = 1; k < deg; ++k) {
-      nb = static_cast<V>(nb + 1 +
-                          static_cast<V>(varint::decode(bytes_.data(), pos)));
-      fn(nb, weights_[static_cast<std::size_t>(wbase + k)]);
-    }
-  }
-
- private:
-  V num_vertices_ = 0;
-  E num_edges_ = 0;
-  std::vector<std::size_t> offsets_;  ///< byte offset of each vertex's run
-  std::vector<E> degrees_;
-  std::vector<std::uint8_t> bytes_;   ///< varint-delta adjacency
-  std::vector<W> weights_;            ///< parallel to logical edge order
-  std::vector<E> weight_offsets_;     ///< == CSR row offsets
-};
-
 }  // namespace essentials::graph
 
 namespace essentials::algorithms {
 
 /// SSSP over any graph exposing `for_each_neighbor` (sequential reference
-/// loop + the same relaxation).  Works for both `compressed_graph` and the
-/// `varint_graph` baseline; the memory-bound anchor of the compression
-/// bench.
+/// loop + the same relaxation) — the memory-bound anchor of the
+/// compression bench.
 template <typename CG>
 std::vector<typename CG::weight_type> sssp_compressed(
     CG const& g, typename CG::vertex_type source) {

@@ -1,171 +1,34 @@
 #pragma once
 
 /// \file parallel/barrier.hpp
-/// \brief Decentralized synchronization primitives for the execution
-/// substrate: a sense-reversing combining-tree barrier for fixed
-/// participant sets, and a reusable striped countdown latch for bulk
-/// (fork-join) completion.
+/// \brief The striped countdown latch behind bulk (fork-join) completion.
 ///
-/// Both exist to replace *flat* synchronization — a single atomic that
-/// every lane hammers — with structures whose contention is spread across
-/// cache lines and combined up a tree, the same shift katana makes from
-/// `Barrier_Simple` to `Barrier_Topo`/`Barrier_MCS` at production core
-/// counts.
-///
-/// ## tree_barrier
-///
-/// A classic sense-reversing combining tree (fan-in 4).  Participants are
-/// numbered [0, P); participant i arrives at leaf i/4; the last arriver at
-/// each node propagates one arrival to the parent; the last arriver at the
-/// root becomes the *winner*: it resets every node for the next generation
-/// and flips the global sense, releasing all waiters.  Reusable across an
-/// unbounded number of generations (the regression suite drives 10k
-/// supersteps through one instance).
-///
-/// Waiting is adaptive: a short spin (the common case when participants
-/// arrive together), then `std::atomic::wait` — a futex park, so mixed
-/// fast/slow participant sets do not burn cores.
-///
-/// ## completion_latch
-///
-/// The fork-join completion structure behind `thread_pool::run_blocked` in
-/// stealing mode, replacing the flat `std::latch`.  `reset(count)` arms it
-/// for `count` completions; `count_down(index)` retires completion
-/// `index`.  Internally the count is striped over up to 8 cache-line-
-/// padded counters by `index % stripes`: work-stealing means *any* lane
-/// may retire any chunk, so stripes are keyed by the chunk id (whose
-/// distribution is known at reset time), not by the finishing thread.  A
-/// stripe reaching zero retires one arrival at the root — two levels of
-/// combining, no single line written by every chunk.  Reusable: one stack
-/// object serves every superstep of an enactment.
+/// `completion_latch` is the completion structure of
+/// `thread_pool::run_blocked`, replacing a flat `std::latch` — a single
+/// atomic every lane hammers — with counters spread across cache lines and
+/// combined in two levels.  `reset(count)` arms it for `count`
+/// completions; `count_down(index)` retires completion `index`.
+/// Internally the count is striped over up to 8 cache-line-padded counters
+/// by `index % stripes`: work-stealing means *any* lane may retire any
+/// chunk, so stripes are keyed by the chunk id (whose distribution is known
+/// at reset time), not by the finishing thread.  A stripe reaching zero
+/// retires one arrival at the root — no single line written by every
+/// chunk.  Reusable: one stack object serves every superstep of an
+/// enactment.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <thread>
-#include <vector>
 
 namespace essentials::parallel {
 
 namespace detail {
-/// Short adaptive spin before parking: cheap when the awaited flip is
+/// Short adaptive spin before parking: cheap when the awaited completion is
 /// nanoseconds away, harmless (one yield loop) when it is not.  Kept small
-/// because CI containers may have fewer cores than participants.
+/// because CI containers may have fewer cores than lanes.
 inline constexpr int barrier_spin_iterations = 128;
 }  // namespace detail
-
-class tree_barrier {
- public:
-  static constexpr std::size_t fan_in = 4;
-
-  explicit tree_barrier(std::size_t participants)
-      : tree_barrier(participants, {}) {}
-
-  /// Topology-aware layout: `slot_of[i]` is participant i's leaf position.
-  /// `parallel::topo_leaf_order` (topology.hpp) computes a permutation that
-  /// places one socket's participants in contiguous slots, so their arrivals
-  /// share leaf subtrees and combine *within* the socket — exactly one
-  /// arrival per socket subtree crosses toward the root (the katana
-  /// `Barrier_Topo` shift).  An empty `slot_of` is the identity layout; a
-  /// non-empty one must be a permutation of [0, participants).
-  tree_barrier(std::size_t participants, std::vector<std::size_t> slot_of)
-      : participants_(participants == 0 ? 1 : participants),
-        slot_of_(std::move(slot_of)) {
-    // Build the combining tree level by level: level 0's node count is
-    // ceil(P / fan_in); each level combines fan_in children of the one
-    // below, until a single root remains.
-    std::size_t width = participants_;
-    std::size_t first = 0;
-    while (true) {
-      std::size_t const nodes = (width + fan_in - 1) / fan_in;
-      for (std::size_t i = 0; i < nodes; ++i) {
-        std::size_t const children =
-            i + 1 < nodes ? fan_in : width - (nodes - 1) * fan_in;
-        levels_.push_back({first + i, children});
-      }
-      level_offsets_.push_back(first);
-      first += nodes;
-      width = nodes;
-      if (nodes == 1)
-        break;
-    }
-    nodes_ = std::vector<node>(levels_.size());
-    for (std::size_t i = 0; i < levels_.size(); ++i) {
-      nodes_[i].expected = levels_[i].expected;
-      nodes_[i].remaining.store(
-          static_cast<std::int64_t>(levels_[i].expected),
-          std::memory_order_relaxed);
-    }
-  }
-
-  tree_barrier(tree_barrier const&) = delete;
-  tree_barrier& operator=(tree_barrier const&) = delete;
-
-  std::size_t participants() const noexcept { return participants_; }
-
-  /// Completed generations — a post-hoc observability hook for tests (the
-  /// generation/sense-flip oracle), not a synchronization device.
-  std::uint64_t generation() const noexcept {
-    return sense_.load(std::memory_order_acquire);
-  }
-
-  /// Arrive as participant `id` (in [0, participants)) and wait until all
-  /// participants of this generation arrived.  The last arriver resets the
-  /// tree and releases everyone; exactly one caller per id per generation.
-  void arrive_and_wait(std::size_t id) {
-    std::uint64_t const my_generation = sense_.load(std::memory_order_acquire);
-    // Climb: the last arriver at each node carries one arrival upward.
-    // Under a topology layout the participant climbs from its *assigned*
-    // leaf slot; the tree shape itself is layout-oblivious.
-    std::size_t level = 0;
-    std::size_t index = slot_of_.empty() ? id : slot_of_[id];
-    while (true) {
-      node& n = nodes_[level_offsets_[level] + index / fan_in];
-      if (n.remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) {
-        wait_for_flip(my_generation);
-        return;
-      }
-      if (level_offsets_[level] + index / fan_in == nodes_.size() - 1)
-        break;  // last arriver at the root: this caller is the winner
-      index /= fan_in;
-      ++level;
-    }
-    // Winner: every participant has arrived (each node reached zero), so no
-    // one touches `remaining` until the sense flips — reset is race-free.
-    for (std::size_t i = 0; i < nodes_.size(); ++i)
-      nodes_[i].remaining.store(static_cast<std::int64_t>(nodes_[i].expected),
-                                std::memory_order_relaxed);
-    sense_.fetch_add(1, std::memory_order_acq_rel);
-    sense_.notify_all();
-  }
-
- private:
-  struct alignas(64) node {
-    std::atomic<std::int64_t> remaining{0};
-    std::size_t expected = 0;
-  };
-  struct node_shape {
-    std::size_t index;
-    std::size_t expected;
-  };
-
-  void wait_for_flip(std::uint64_t my_generation) {
-    for (int spin = 0; spin < detail::barrier_spin_iterations; ++spin) {
-      if (sense_.load(std::memory_order_acquire) != my_generation)
-        return;
-      std::this_thread::yield();
-    }
-    while (sense_.load(std::memory_order_acquire) == my_generation)
-      sense_.wait(my_generation, std::memory_order_acquire);
-  }
-
-  std::size_t participants_;
-  std::vector<std::size_t> slot_of_;     // leaf permutation; empty = identity
-  std::vector<node_shape> levels_;       // construction-time shape
-  std::vector<std::size_t> level_offsets_;
-  std::vector<node> nodes_;              // leaves first, root last
-  alignas(64) std::atomic<std::uint64_t> sense_{0};
-};
 
 class completion_latch {
  public:

@@ -17,8 +17,8 @@
 /// Both are deterministic for a fixed (n, pool size): chunk boundaries come
 /// from the pool's documented `bulk_step` chunking contract, per-chunk sums
 /// are combined serially in chunk order, and integer accumulation is exact —
-/// so every substrate (stealing or central queue, NUMA on or off) produces
-/// bit-identical offsets.  frontier_gen's compaction phase and the
+/// so every schedule (whichever lane steals which chunk, NUMA on or off)
+/// produces bit-identical offsets.  frontier_gen's compaction phase and the
 /// edge-balanced/degree-class advance strategies both build on these.
 
 #include <cstddef>

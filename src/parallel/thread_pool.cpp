@@ -1,10 +1,7 @@
 #include "parallel/thread_pool.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
-#include <latch>
-#include <string>
 
 #include "parallel/barrier.hpp"
 #include "parallel/work_deque.hpp"
@@ -13,24 +10,40 @@ namespace essentials::parallel {
 
 namespace {
 
-/// External (non-worker) lane slots per stealing pool: enough for every
-/// engine runner plus the main thread with headroom.  When exhausted,
-/// run_blocked falls back to injector distribution — correct, just
-/// centralized — so this is a performance bound, not a correctness one.
+/// External (non-worker) lane slots per pool: enough for every live
+/// engine runner plus the main thread with headroom.  A slot returns to
+/// the pool when its thread exits.  When all are held, run_blocked falls
+/// back to injector distribution — correct, just centralized — so this is
+/// a performance bound, not a correctness one.
 constexpr std::size_t external_lane_slots = 32;
 
 /// Thread-local lane registry: which lane (if any) this thread holds in
 /// each pool it has touched, keyed by a process-unique pool id so entries
-/// for destroyed pools can never alias a live one.  A handful of 16-byte
-/// entries per thread — linear scan beats any map.
+/// for destroyed pools can never alias a live one.  A handful of entries
+/// per thread — linear scan beats any map.
 struct lane_key {
   std::uint64_t pool_id;
   std::size_t lane;
+  /// External lanes only: the pool's claim flag for `lane`.  Weak, so a
+  /// thread that outlives its pool releases nothing of it.
+  std::weak_ptr<std::atomic<bool>> claim;
+};
+
+struct lane_registry {
+  std::vector<lane_key> entries;
+  ~lane_registry() {
+    // Thread exit: hand every external slot back to its (live) pool.  The
+    // release store orders this thread's last use of the lane's deque
+    // before the next claimant's acquire CAS.
+    for (auto const& entry : entries)
+      if (auto const claim = entry.claim.lock())
+        claim->store(false, std::memory_order_release);
+  }
 };
 
 std::vector<lane_key>& tls_lanes() {
-  thread_local std::vector<lane_key> lanes;
-  return lanes;
+  thread_local lane_registry registry;
+  return registry.entries;
 }
 
 std::uint64_t next_pool_id() {
@@ -58,71 +71,37 @@ std::size_t next_victim(std::size_t lanes) {
 
 }  // namespace
 
-/// One lane of the stealing substrate: lanes [0, size()) belong to the
-/// workers; the rest are claimable by external threads (engine runners, the
-/// main thread) so their run_blocked chunks are deque-distributed too.
-/// Tasks are heap-allocated std::functions — the deque stores trivially
-/// copyable pointers; ownership transfers to whichever thread dequeues.
+/// One lane: lanes [0, size()) belong to the workers; the rest are
+/// claimable by external threads (engine runners, the main thread) so their
+/// run_blocked chunks are deque-distributed too.  Tasks are heap-allocated
+/// std::functions — the deque stores trivially copyable pointers;
+/// ownership transfers to whichever thread dequeues.
 struct thread_pool::lane {
   work_deque<std::function<void()>*> deque;
-  std::atomic<bool> claimed{false};  // meaningful for external slots only
 };
 
-steal_order default_steal_order() {
-  return numa_enabled() ? steal_order::tiered : steal_order::flat;
-}
-
-queue_mode default_queue_mode() {
-  static queue_mode const mode = [] {
-#if defined(ESSENTIALS_CENTRAL_QUEUE)
-    bool central = true;
-#else
-    bool central = false;
-#endif
-    if (char const* env = std::getenv("ESSENTIALS_CENTRAL_QUEUE")) {
-      std::string value(env);
-      for (char& c : value)
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-      central = !(value.empty() || value == "0" || value == "false" ||
-                  value == "off" || value == "no");
-    }
-    return central ? queue_mode::central : queue_mode::stealing;
-  }();
-  return mode;
-}
-
 thread_pool::thread_pool(std::size_t num_threads)
-    : thread_pool(num_threads, default_queue_mode(), default_steal_order()) {}
-
-thread_pool::thread_pool(std::size_t num_threads, queue_mode mode)
-    : thread_pool(num_threads, mode, default_steal_order()) {}
-
-thread_pool::thread_pool(std::size_t num_threads, queue_mode mode,
-                         steal_order order)
-    : mode_(mode), order_(order), pool_id_(next_pool_id()) {
-  num_workers_ = num_threads == 0 ? 1 : num_threads;
-  if (mode_ == queue_mode::stealing) {
-    lanes_.reserve(num_workers_ + external_lane_slots);
-    for (std::size_t i = 0; i < num_workers_ + external_lane_slots; ++i)
-      lanes_.push_back(std::make_unique<lane>());
-    // Topology packing: worker i runs near cpu_of_worker_[i] (advisory
-    // unless ESSENTIALS_PIN), and — under tiered order — steals from SMT
-    // siblings, then its socket, then remote sockets.  Built before any
-    // worker starts, so workers read it without synchronization.
-    cpu_of_worker_ = assign_workers(system_topology(), num_workers_);
-    if (order_ == steal_order::tiered) {
-      tiers_.reserve(num_workers_);
-      for (std::size_t i = 0; i < num_workers_; ++i)
-        tiers_.push_back(tiered_victims(system_topology(), cpu_of_worker_, i));
-    }
-  }
+    : pool_id_(next_pool_id()),
+      num_workers_(num_threads == 0 ? 1 : num_threads),
+      external_claims_(new std::atomic<bool>[external_lane_slots]{}) {
+  lanes_.reserve(num_workers_ + external_lane_slots);
+  for (std::size_t i = 0; i < num_workers_ + external_lane_slots; ++i)
+    lanes_.push_back(std::make_unique<lane>());
+  // Topology packing: worker i runs near cpu_of_worker[i] (advisory unless
+  // ESSENTIALS_PIN) and steals from SMT siblings, then its socket, then
+  // remote sockets.  With ESSENTIALS_NUMA off the flat topology puts every
+  // worker in one tier.  Built before any worker starts, so workers read it
+  // without synchronization.
+  machine_topology const flat = machine_topology::flat(num_workers_);
+  machine_topology const& topo = numa_enabled() ? system_topology() : flat;
+  std::vector<int> const cpu_of_worker = assign_workers(topo, num_workers_);
+  tiers_.reserve(num_workers_);
+  for (std::size_t i = 0; i < num_workers_; ++i)
+    tiers_.push_back(tiered_victims(topo, cpu_of_worker, i));
   workers_.reserve(num_workers_);
-  for (std::size_t i = 0; i < num_workers_; ++i) {
-    if (mode_ == queue_mode::stealing)
-      workers_.emplace_back([this, i] { worker_loop_stealing(i); });
-    else
-      workers_.emplace_back([this] { worker_loop_central(); });
-  }
+  for (std::size_t i = 0; i < num_workers_; ++i)
+    workers_.emplace_back(
+        [this, i, cpu = cpu_of_worker[i]] { worker_loop(i, cpu); });
 }
 
 thread_pool::~thread_pool() {
@@ -145,75 +124,25 @@ thread_pool::~thread_pool() {
 
 void thread_pool::submit(std::function<void()> task) {
   pending_.fetch_add(1, std::memory_order_acq_rel);
-  if (mode_ == queue_mode::stealing) {
-    std::size_t const self = lane_id();
-    if (self != no_lane && self < num_workers_) {
-      // Worker origin: own deque, newest-first for the owner, oldest-first
-      // for thieves — submission order is preserved across a steal.
-      lanes_[self]->deque.push(new std::function<void()>(std::move(task)));
-      notify_sleepers(false);
-      return;
-    }
-    // External origin: FIFO injector, same ordering the central queue gave.
-    {
-      std::lock_guard<std::mutex> guard(mutex_);
-      queue_.push_back(std::move(task));
-      queue_size_.store(queue_.size(), std::memory_order_seq_cst);
-    }
+  std::size_t const self = lane_id();
+  if (self != no_lane && self < num_workers_) {
+    // Worker origin: own deque, newest-first for the owner, oldest-first
+    // for thieves — submission order is preserved across a steal.
+    lanes_[self]->deque.push(new std::function<void()>(std::move(task)));
     notify_sleepers(false);
     return;
   }
+  // External origin: FIFO injector.
   {
     std::lock_guard<std::mutex> guard(mutex_);
     queue_.push_back(std::move(task));
+    queue_size_.store(queue_.size(), std::memory_order_seq_cst);
   }
-  has_work_.notify_one();
+  notify_sleepers(false);
 }
 
-void thread_pool::submit_urgent(std::function<void()> task) {
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    urgent_queue_.push_back(std::move(task));
-    if (mode_ == queue_mode::stealing)
-      urgent_size_.store(urgent_queue_.size(), std::memory_order_seq_cst);
-  }
-  if (mode_ == queue_mode::stealing)
-    notify_sleepers(false);
-  else
-    has_work_.notify_one();
-}
+// --- completion plumbing ---------------------------------------------------
 
-std::size_t thread_pool::discard_pending() {
-  std::size_t discarded;
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    discarded = queue_.size() + urgent_queue_.size();
-    queue_.clear();
-    urgent_queue_.clear();
-    queue_size_.store(0, std::memory_order_seq_cst);
-    urgent_size_.store(0, std::memory_order_seq_cst);
-  }
-  // Stealing substrate: also drain every lane deque.  steal() is
-  // any-thread-safe, so the drain needs no cooperation from workers; a
-  // worker racing us for a task simply wins it (and runs it — "queued but
-  // not yet started" is decided by that race, same as the central queue).
-  for (auto const& l : lanes_)
-    while (auto stranded = l->deque.steal()) {
-      delete *stranded;
-      ++discarded;
-    }
-  if (discarded != 0 &&
-      pending_.fetch_sub(discarded, std::memory_order_acq_rel) == discarded) {
-    // Notify under the lock: a wait_idle caller between its predicate check
-    // and its wait must not miss this (same window as finish_one).
-    std::lock_guard<std::mutex> guard(mutex_);
-    all_idle_.notify_all();
-  }
-  return discarded;
-}
-
-// --- completion plumbing shared by both substrates -------------------------
 
 void thread_pool::execute(std::function<void()>&& task) {
   busy_.fetch_add(1, std::memory_order_relaxed);
@@ -247,48 +176,10 @@ void thread_pool::wait_idle() {
   });
 }
 
-// --- central substrate -----------------------------------------------------
+// --- workers ---------------------------------------------------------------
 
-void thread_pool::worker_loop_central() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      has_work_.wait(lock, [this] {
-        return stopping_ || !queue_.empty() || !urgent_queue_.empty();
-      });
-      if (stopping_ && queue_.empty() && urgent_queue_.empty())
-        return;
-      auto& source = urgent_queue_.empty() ? queue_ : urgent_queue_;
-      task = std::move(source.front());
-      source.pop_front();
-    }
-    execute(std::move(task));
-  }
-}
-
-void thread_pool::run_blocked_central(
-    std::size_t n, std::function<void(std::size_t, std::size_t)> const& fn,
-    std::size_t step, std::size_t chunks) {
-  // The calling thread takes the first chunk itself (one fewer enqueue and
-  // guarantees forward progress even if all workers are busy elsewhere).
-  std::latch done(static_cast<std::ptrdiff_t>(chunks - 1));
-  for (std::size_t c = 1; c < chunks; ++c) {
-    std::size_t const begin = c * step;
-    std::size_t const end = std::min(n, begin + step);
-    submit([&fn, &done, begin, end] {
-      fn(begin, end);
-      done.count_down();
-    });
-  }
-  fn(0, std::min(n, step));
-  done.wait();
-}
-
-// --- stealing substrate ----------------------------------------------------
-
-void thread_pool::worker_loop_stealing(std::size_t id) {
-  tls_lanes().push_back({pool_id_, id});
+void thread_pool::worker_loop(std::size_t id, int cpu) {
+  tls_lanes().push_back({pool_id_, id, {}});
   if (auto const seed = steal_seed()) {
     // Deterministic victim streams: splitmix64 of (seed, lane) gives each
     // worker a distinct but reproducible sweep, so a torture-suite failure
@@ -299,8 +190,8 @@ void thread_pool::worker_loop_stealing(std::size_t id) {
     z ^= z >> 31;
     steal_rng() = z | 1;
   }
-  if (pin_enabled() && id < cpu_of_worker_.size())
-    pin_thread_to_cpu(cpu_of_worker_[id]);  // failure = performance shrug
+  if (pin_enabled())
+    pin_thread_to_cpu(cpu);  // failure = performance shrug
   for (;;) {
     if (auto task = find_task(id)) {
       execute(std::move(*task));
@@ -329,30 +220,21 @@ void thread_pool::worker_loop_stealing(std::size_t id) {
 }
 
 std::optional<std::function<void()>> thread_pool::find_task(std::size_t self) {
-  // 1. The urgent class: strict priority over everything, including this
-  //    worker's own deque — deadline-critical chunks must not wait behind a
-  //    backlog of batch work, stolen or not.
-  if (urgent_size_.load(std::memory_order_seq_cst) != 0)
-    if (auto task = pop_injector(urgent_size_, urgent_queue_))
-      return task;
-  // 2. Own deque, newest first: fork-join chunks this worker just produced
+  // 1. Own deque, newest first: fork-join chunks this worker just produced
   //    are the cache-hottest work in the system.
   if (auto ptr = lanes_[self]->deque.pop()) {
     std::unique_ptr<std::function<void()>> owned(*ptr);
     return std::move(*owned);
   }
-  // 3. The injector: external fire-and-forget submissions, FIFO.
+  // 2. The injector: external fire-and-forget submissions, FIFO.
   if (queue_size_.load(std::memory_order_seq_cst) != 0)
-    if (auto task = pop_injector(queue_size_, queue_))
+    if (auto task = pop_injector())
       return task;
-  // 4. Steal sweep.  Tiered order (workers only — external lanes have no
-  //    topology placement): exhaust same-core SMT siblings, then the same
-  //    socket, then remote sockets, then external lanes, randomizing the
-  //    start *within* each tier so siblings don't convoy on one victim — a
-  //    steal crosses the interconnect only when the whole local socket is
-  //    dry.  Flat order: uniform-random sweep over all lanes (the PR 6
-  //    baseline).  A miss either way is fine — the sleep path re-probes
-  //    deterministically.
+  // 3. Steal sweep: exhaust same-core SMT siblings, then the same socket,
+  //    then remote sockets, then external lanes, randomizing the start
+  //    *within* each tier so siblings don't convoy on one victim — a steal
+  //    crosses the interconnect only when the whole local socket is dry.
+  //    A miss is fine — the sleep path re-probes deterministically.
   auto const try_steal =
       [&](std::size_t victim) -> std::optional<std::function<void()>> {
     if (auto ptr = lanes_[victim]->deque.steal()) {
@@ -361,59 +243,42 @@ std::optional<std::function<void()>> thread_pool::find_task(std::size_t self) {
     }
     return std::nullopt;
   };
-  if (order_ == steal_order::tiered && self < num_workers_) {
-    auto const& tiers = tiers_[self];
-    std::size_t const externals = lanes_.size() - num_workers_;
-    for (std::size_t pass = 0; pass < 2; ++pass) {
-      std::size_t tier_begin = 0;
-      for (std::size_t const tier_end :
-           {tiers.smt_end, tiers.package_end, tiers.victims.size()}) {
-        std::size_t const count = tier_end - tier_begin;
-        if (count != 0) {
-          std::size_t const start = next_victim(count);
-          for (std::size_t k = 0; k < count; ++k)
-            if (auto task = try_steal(
-                    tiers.victims[tier_begin + (start + k) % count]))
-              return task;
-        }
-        tier_begin = tier_end;
-      }
-      if (externals != 0) {
-        std::size_t const start = next_victim(externals);
-        for (std::size_t k = 0; k < externals; ++k)
+  auto const& tiers = tiers_[self];
+  std::size_t const externals = lanes_.size() - num_workers_;
+  for (std::size_t pass = 0; pass < 2; ++pass) {
+    std::size_t tier_begin = 0;
+    for (std::size_t const tier_end :
+         {tiers.smt_end, tiers.package_end, tiers.victims.size()}) {
+      std::size_t const count = tier_end - tier_begin;
+      if (count != 0) {
+        std::size_t const start = next_victim(count);
+        for (std::size_t k = 0; k < count; ++k)
           if (auto task =
-                  try_steal(num_workers_ + (start + k) % externals))
+                  try_steal(tiers.victims[tier_begin + (start + k) % count]))
             return task;
       }
+      tier_begin = tier_end;
     }
-    return std::nullopt;
-  }
-  std::size_t const lanes = lanes_.size();
-  for (std::size_t attempt = 0; attempt < 2 * lanes; ++attempt) {
-    std::size_t const victim = next_victim(lanes);
-    if (victim == self)
-      continue;
-    if (auto task = try_steal(victim))
-      return task;
+    std::size_t const start = next_victim(externals);
+    for (std::size_t k = 0; k < externals; ++k)
+      if (auto task = try_steal(num_workers_ + (start + k) % externals))
+        return task;
   }
   return std::nullopt;
 }
 
-std::optional<std::function<void()>> thread_pool::pop_injector(
-    std::atomic<std::size_t>& size_mirror,
-    std::deque<std::function<void()>>& q) {
+std::optional<std::function<void()>> thread_pool::pop_injector() {
   std::lock_guard<std::mutex> guard(mutex_);
-  if (q.empty())
+  if (queue_.empty())
     return std::nullopt;
-  std::function<void()> task = std::move(q.front());
-  q.pop_front();
-  size_mirror.store(q.size(), std::memory_order_seq_cst);
+  std::function<void()> task = std::move(queue_.front());
+  queue_.pop_front();
+  queue_size_.store(queue_.size(), std::memory_order_seq_cst);
   return task;
 }
 
 bool thread_pool::visible_work() const {
-  if (urgent_size_.load(std::memory_order_seq_cst) != 0 ||
-      queue_size_.load(std::memory_order_seq_cst) != 0)
+  if (queue_size_.load(std::memory_order_seq_cst) != 0)
     return true;
   for (auto const& l : lanes_)
     if (!l->deque.empty_seq_cst())
@@ -444,25 +309,24 @@ std::size_t thread_pool::lane_id() const {
   return no_lane;
 }
 
-std::size_t thread_pool::max_lanes() const noexcept {
-  return mode_ == queue_mode::stealing ? lanes_.size() : num_workers_ + 1;
-}
-
 std::size_t thread_pool::register_external_lane() {
-  if (mode_ != queue_mode::stealing)
-    return no_lane;
   std::size_t const existing = lane_id();
   if (existing != no_lane)
     return existing;
-  for (std::size_t i = num_workers_; i < lanes_.size(); ++i) {
+  for (std::size_t slot = 0; slot < external_lane_slots; ++slot) {
+    std::atomic<bool>& flag = external_claims_[slot];
     bool expected = false;
-    if (lanes_[i]->claimed.compare_exchange_strong(
-            expected, true, std::memory_order_acq_rel)) {
-      tls_lanes().push_back({pool_id_, i});
-      return i;
+    if (flag.compare_exchange_strong(expected, true,
+                                     std::memory_order_acq_rel)) {
+      std::size_t const id = num_workers_ + slot;
+      // Aliasing pointer: shares ownership of the whole claim array.
+      tls_lanes().push_back(
+          {pool_id_, id,
+           std::shared_ptr<std::atomic<bool>>(external_claims_, &flag)});
+      return id;
     }
   }
-  return no_lane;  // all slots claimed; run_blocked falls back to injector
+  return no_lane;  // every slot held by a live thread: injector fallback
 }
 
 void thread_pool::run_blocked(
@@ -477,11 +341,6 @@ void thread_pool::run_blocked(
     fn(0, n);
     return;
   }
-  if (mode_ == queue_mode::central) {
-    run_blocked_central(n, fn, step, chunks);
-    return;
-  }
-
   std::size_t self = lane_id();
   if (self == no_lane)
     self = register_external_lane();
@@ -537,7 +396,7 @@ void thread_pool::run_blocked(
   notify_sleepers(true);
   fn(0, std::min(n, step));
   while (!done.done()) {
-    auto task = pop_injector(queue_size_, queue_);
+    auto task = pop_injector();
     if (!task)
       break;
     execute(std::move(*task));

@@ -279,31 +279,6 @@ steal_tiers tiered_victims(machine_topology const& topo,
   return tiers;
 }
 
-std::vector<std::size_t> topo_leaf_order(machine_topology const& topo,
-                                         std::vector<int> const& cpu_of_worker,
-                                         std::size_t participants) {
-  std::vector<std::size_t> by_slot(participants);
-  for (std::size_t i = 0; i < participants; ++i)
-    by_slot[i] = i;
-  auto const key = [&](std::size_t p) {
-    if (p < cpu_of_worker.size()) {
-      for (auto const& c : topo.cpus)
-        if (c.id == cpu_of_worker[p])
-          return std::tuple(0, c.node, c.package, c.core,
-                            static_cast<int>(p));
-    }
-    // Unassigned participants (external lanes) sort after every worker,
-    // keeping their relative order.
-    return std::tuple(1, 0, 0, 0, static_cast<int>(p));
-  };
-  std::stable_sort(by_slot.begin(), by_slot.end(),
-                   [&](std::size_t a, std::size_t b) { return key(a) < key(b); });
-  std::vector<std::size_t> slot_of(participants);
-  for (std::size_t slot = 0; slot < participants; ++slot)
-    slot_of[by_slot[slot]] = slot;
-  return slot_of;
-}
-
 int node_of_cpu(machine_topology const& topo, int cpu) {
   for (auto const& c : topo.cpus)
     if (c.id == cpu)

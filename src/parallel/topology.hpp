@@ -23,15 +23,12 @@
 ///     in locality order (node-major, then package, then core, SMT
 ///     siblings adjacent — the katana `HWTopoLinux` packing);
 ///     `tiered_victims` derives each worker's steal order from that packing
-///     (same-core SMT siblings, then same-socket, then remote sockets);
-///     `topo_leaf_order` permutes tree-barrier participants so arrivals
-///     combine within a socket before crossing the interconnect (katana's
-///     `Barrier_Topo` shift).
+///     (same-core SMT siblings, then same-socket, then remote sockets).
 ///  3. **Knobs**: `ESSENTIALS_NUMA` gates every placement decision (default
-///     on; the off path is a live differential baseline, exactly like
-///     `ESSENTIALS_CENTRAL_QUEUE`), `ESSENTIALS_PIN` opts workers into
-///     affinity pinning, and `ESSENTIALS_STEAL_SEED` makes the randomized
-///     victim sweep reproducible for torture-suite debugging.
+///     on; off, the pool builds its tiers from `flat()` and memory is
+///     constructor-touched), `ESSENTIALS_PIN` opts workers into affinity
+///     pinning, and `ESSENTIALS_STEAL_SEED` makes the randomized victim
+///     sweep reproducible for torture-suite debugging.
 ///
 /// Everything here is observation + pure policy: no thread is created, no
 /// memory is placed.  The thread pool (thread_pool.cpp) consumes the
@@ -94,12 +91,11 @@ std::vector<int> parse_cpu_list(std::string const& list);
 // ---------------------------------------------------------------------------
 
 /// `ESSENTIALS_NUMA`: master switch for every topology-derived placement
-/// decision (steal tiers, barrier layout, first-touch, pinning).  Default
-/// on (or off when compiled with -DESSENTIALS_NUMA_OFF); the environment
-/// variable overrides either way — truthy (`1`, `true`, `on`, `yes`)
-/// enables, falsy (`0`, `false`, `off`, `no`) disables.  Read once and
-/// cached, like `default_queue_mode()`: the off path is the flat
-/// differential baseline CI keeps alive.
+/// decision (steal tiers, first-touch, pinning).  Default on (or off when
+/// compiled with -DESSENTIALS_NUMA_OFF); the environment variable
+/// overrides either way — truthy (`1`, `true`, `on`, `yes`) enables, falsy
+/// (`0`, `false`, `off`, `no`) disables.  Read once and cached: the off
+/// path is the topology-oblivious configuration CI keeps alive.
 bool numa_enabled();
 
 /// `ESSENTIALS_PIN`: opt workers into CPU-affinity pinning (default off —
@@ -126,7 +122,7 @@ std::optional<std::uint64_t> steal_seed();
 /// (node, package, core, id) — SMT siblings adjacent, sockets contiguous —
 /// assigned round-robin when workers exceed CPUs.  Returns cpu id per
 /// worker.  This packed order is what makes "neighboring worker" mean
-/// "topologically near worker" for the steal tiers and barrier layout.
+/// "topologically near worker" for the steal tiers.
 std::vector<int> assign_workers(machine_topology const& topo,
                                 std::size_t workers);
 
@@ -143,21 +139,11 @@ struct steal_tiers {
 };
 
 /// Tiered steal order for worker `self` under the given worker→cpu
-/// assignment.  With a flat topology the first two tiers are empty — the
-/// sweep degenerates to the randomized all-victims order.
+/// assignment.  With a flat topology every other worker shares self's
+/// package, so the sweep is one randomized tier over all workers.
 steal_tiers tiered_victims(machine_topology const& topo,
                            std::vector<int> const& cpu_of_worker,
                            std::size_t self);
-
-/// Leaf-slot permutation for a `tree_barrier` over `participants` workers:
-/// slot_of[i] is participant i's leaf position, chosen so participants of
-/// one package occupy contiguous slots (= shared subtrees; arrivals combine
-/// within the socket and a single arrival crosses to the root).
-/// Participants beyond the assignment (external lanes) keep their natural
-/// positions.  Always a valid permutation of [0, participants).
-std::vector<std::size_t> topo_leaf_order(machine_topology const& topo,
-                                         std::vector<int> const& cpu_of_worker,
-                                         std::size_t participants);
 
 /// NUMA node of a cpu id under `topo` (0 when unknown — the flat answer).
 int node_of_cpu(machine_topology const& topo, int cpu);

@@ -20,8 +20,8 @@
 ///    not model standalone fences (it would report false races on every
 ///    steal), and the store-buffer (Dekker) pattern between `push` and the
 ///    pool's sleep protocol needs seq_cst stores anyway.  On x86-64 this
-///    costs one locked instruction per push — far below the mutex the
-///    central queue takes per operation.
+///    costs one locked instruction per push — far below a mutex per
+///    operation.
 ///  - slots are `std::atomic<T>` rather than plain values: a thief may
 ///    read a slot that the owner is concurrently recycling after an index
 ///    wrap; the claim CAS on `top` then fails and the value is discarded,

@@ -29,11 +29,11 @@
 /// can at worst be processed *earlier* than its staging (absorbed by a
 /// racing wave), never left behind.
 ///
-/// Waves run through `thread_pool::run_blocked`, so the PR 6/PR 7
-/// substrate choices — work-stealing vs central, tiered NUMA steal order,
-/// lane-stable scratch — carry over unchanged; small waves (the standing-
-/// query steady state) are processed inline on the caller to keep
-/// re-convergence latency in microseconds.
+/// Waves run through `thread_pool::run_blocked`, so the pool's
+/// work-stealing, tiered NUMA steal order and lane-stable scratch carry
+/// over unchanged; small waves (the standing-query steady state) are
+/// processed inline on the caller to keep re-convergence latency in
+/// microseconds.
 
 #include <algorithm>
 #include <atomic>

@@ -1,4 +1,4 @@
-// Tests for the varint-delta compressed CSR representation.
+// Tests for the block-coded compressed CSR representation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,22 +20,10 @@ g::csr_t<> canonical(g::coo_t<> coo) {
 
 }  // namespace
 
-TEST(Varint, EncodeDecodeRoundTrip) {
-  std::vector<std::uint8_t> buf;
-  std::vector<std::uint64_t> const values{0, 1, 127, 128, 300, 1u << 20,
-                                          ~std::uint64_t{0} >> 1};
-  for (auto const v : values)
-    g::varint::encode(buf, v);
-  std::size_t pos = 0;
-  for (auto const v : values)
-    EXPECT_EQ(g::varint::decode(buf.data(), pos), v);
-  EXPECT_EQ(pos, buf.size());
-}
-
 TEST(Varint, ZigZagRoundTrip) {
   for (std::int64_t v : {0LL, 1LL, -1LL, 63LL, -64LL, 1LL << 40, -(1LL << 40)})
     EXPECT_EQ(g::varint::unzigzag(g::varint::zigzag(v)), v);
-  // Small magnitudes stay small (1 byte after zig-zag).
+  // Small magnitudes stay small (one group-varint byte after zig-zag).
   EXPECT_LT(g::varint::zigzag(-3), 16u);
 }
 
@@ -227,12 +215,12 @@ TEST(Compressed, ThreadLocalCacheSurvivesGraphInterleaving) {
 }
 
 TEST(Compressed, OperatorDifferentialAcrossPoliciesAndSubstrates) {
-  // The tentpole contract: advance on compressed CSR is bit-identical to
-  // advance on plain CSR across frontier strategies and both pool
-  // substrates.  "Bit-identical" follows the repo's differential
+  // The tentpole contract: advance on the compressed adjacency substrate is
+  // bit-identical to advance on plain CSR across execution policies and
+  // frontier strategies.  "Bit-identical" follows the repo's differential
   // convention: exact equality where the path is deterministic (seq, par
-  // scan), multiset equality where publication order is racy (bulk /
-  // listing3) — the same bar test_differential.cpp holds flat CSR to.
+  // scan), multiset equality where publication order is racy (listing3) —
+  // the same bar test_differential.cpp holds flat CSR to.
   auto const csr = rmat_like(400, 6000, 21);
   g::graph_csr flat;
   flat.set_csr(csr);
@@ -252,30 +240,24 @@ TEST(Compressed, OperatorDifferentialAcrossPoliciesAndSubstrates) {
   EXPECT_EQ(op::advance_push(ex::seq, cg, in, cond).to_vector(), ref);
   auto const ref_sorted = sorted_copy(ref);
 
-  for (auto const mode : {e::parallel::queue_mode::stealing,
-                          e::parallel::queue_mode::central}) {
-    e::parallel::thread_pool pool(4, mode);
-    ex::parallel_policy const par_on_pool{pool};
-    for (auto const fg : {ex::frontier_gen::scan, ex::frontier_gen::bulk,
-                          ex::frontier_gen::listing3}) {
-      auto const policy = par_on_pool.with_frontier(fg);
-      auto const flat_out =
-          op::advance_push(policy, flat, in, cond).to_vector();
-      auto const comp_out = op::advance_push(policy, cg, in, cond).to_vector();
-      if (fg == ex::frontier_gen::scan) {
-        EXPECT_EQ(comp_out, flat_out) << "scan must match exactly";
-      }
-      EXPECT_EQ(sorted_copy(comp_out), ref_sorted)
-          << "substrate " << static_cast<int>(mode) << " frontier "
-          << static_cast<int>(fg);
-      // Dedup'd variants agree as sets.
-      auto const dd =
-          op::advance_push(policy.with_dedup(), cg, in, cond).to_vector();
-      auto dd_want = ref_sorted;
-      dd_want.erase(std::unique(dd_want.begin(), dd_want.end()),
-                    dd_want.end());
-      EXPECT_EQ(sorted_copy(dd), dd_want);
+  e::parallel::thread_pool pool(4);
+  ex::parallel_policy const par_on_pool{pool};
+  for (auto const fg : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
+    auto const policy = par_on_pool.with_frontier(fg);
+    auto const flat_out = op::advance_push(policy, flat, in, cond).to_vector();
+    auto const comp_out = op::advance_push(policy, cg, in, cond).to_vector();
+    if (fg == ex::frontier_gen::scan) {
+      EXPECT_EQ(comp_out, flat_out) << "scan must match exactly";
+      EXPECT_EQ(comp_out, ref) << "scan must match seq exactly";
     }
+    EXPECT_EQ(sorted_copy(comp_out), ref_sorted)
+        << "frontier " << static_cast<int>(fg);
+    // Dedup'd variants agree as sets.
+    auto const dd =
+        op::advance_push(policy.with_dedup(), cg, in, cond).to_vector();
+    auto dd_want = ref_sorted;
+    dd_want.erase(std::unique(dd_want.begin(), dd_want.end()), dd_want.end());
+    EXPECT_EQ(sorted_copy(dd), dd_want);
   }
 }
 
@@ -307,8 +289,7 @@ TEST(Compressed, NeighborReduceAndFilterDifferential) {
       op::neighbor_reduce_activate(ex::seq, flat, in, 0.0, map, combine,
                                    activate, out_ref.data())
           .to_vector());
-  for (auto const fg : {ex::frontier_gen::scan, ex::frontier_gen::bulk,
-                        ex::frontier_gen::listing3}) {
+  for (auto const fg : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
     std::vector<double> out_c(n, 0.0);
     auto const act = sorted_copy(
         op::neighbor_reduce_activate(ex::par.with_frontier(fg), cg, in, 0.0,
@@ -366,21 +347,4 @@ TEST(Compressed, WideEdgeTypeForHugeGraphs) {
   // The overflow guard itself: an edge count that does not fit E throws.
   // (Exercised symbolically — building 2^31 real edges is not a unit test.)
   SUCCEED();
-}
-
-TEST(Compressed, VarintBaselineStillMatchesCsr) {
-  // The scalar LEB128 baseline bench_compressed compares against must
-  // remain a faithful decoder.
-  auto const csr = rmat_like(250, 3000, 17);
-  g::varint_graph<> vg(csr);
-  EXPECT_EQ(vg.get_num_vertices(), csr.num_rows);
-  for (vertex_t v = 0; v < csr.num_rows; ++v) {
-    std::vector<vertex_t> want, got;
-    for (edge_t ed = csr.row_offsets[static_cast<std::size_t>(v)];
-         ed < csr.row_offsets[static_cast<std::size_t>(v) + 1]; ++ed)
-      want.push_back(csr.column_indices[static_cast<std::size_t>(ed)]);
-    vg.for_each_neighbor(v, [&got](vertex_t nb, float) { got.push_back(nb); });
-    ASSERT_EQ(got, want) << v;
-  }
-  EXPECT_LT(vg.adjacency_bytes(), vg.uncompressed_adjacency_bytes());
 }

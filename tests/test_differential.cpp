@@ -27,6 +27,7 @@
 #include "generators/generators.hpp"
 #include "graph/compressed.hpp"
 #include "graph/graph.hpp"
+#include "lane_slots.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace ex = essentials::execution;
@@ -117,7 +118,7 @@ void expect_variants_agree(g::graph_push_pull const& graph,
   fr::sparse_frontier<vertex_t> const in(std::move(seeds));
 
   tel::trace t_seq, t_par, t_nosync, t_l3, t_balanced, t_dense, t_pull;
-  tel::trace t_bulk, t_gen_l3, t_dedup;
+  tel::trace t_gen_l3, t_dedup;
 
   // Sequential push: the reference semantics.
   std::vector<vertex_t> ref_multiset;
@@ -147,12 +148,6 @@ void expect_variants_agree(g::graph_push_pull const& graph,
   // The frontier-generation axis: every strategy computes the same multiset
   // through one advance_push overload — only the publication path differs.
   {
-    tel::scoped_recording rec(t_bulk, "advance.par.bulk");
-    auto const out = op::advance_push(
-        ex::par.with_frontier(ex::frontier_gen::bulk), graph, in, cond);
-    EXPECT_EQ(sorted(out.to_vector()), ref_multiset);
-  }
-  {
     tel::scoped_recording rec(t_gen_l3, "advance.par.listing3");
     auto const out = op::advance_push(
         ex::par.with_frontier(ex::frontier_gen::listing3), graph, in, cond);
@@ -166,9 +161,10 @@ void expect_variants_agree(g::graph_push_pull const& graph,
     EXPECT_EQ(deduped(out.to_vector()), ref_set);
     EXPECT_EQ(out.size(), ref_set.size());  // already a set: dedup worked
   }
-  for (auto mode : {ex::frontier_gen::bulk, ex::frontier_gen::listing3}) {
+  {
     auto const o2 = op::advance_push(
-        ex::par.with_dedup().with_frontier(mode), graph, in, cond);
+        ex::par.with_dedup().with_frontier(ex::frontier_gen::listing3), graph,
+        in, cond);
     EXPECT_EQ(o2.size(), ref_set.size());
     EXPECT_EQ(deduped(o2.to_vector()), ref_set);
   }
@@ -212,8 +208,6 @@ void expect_variants_agree(g::graph_push_pull const& graph,
     EXPECT_EQ(t_balanced.total_edges_relaxed(), relx);
     EXPECT_EQ(t_dense.total_edges_inspected(), insp);
     EXPECT_EQ(t_dense.total_edges_relaxed(), relx);
-    EXPECT_EQ(t_bulk.total_edges_inspected(), insp);
-    EXPECT_EQ(t_bulk.total_edges_relaxed(), relx);
     EXPECT_EQ(t_gen_l3.total_edges_inspected(), insp);
     EXPECT_EQ(t_gen_l3.total_edges_relaxed(), relx);
     // …and across *directions* for a pure condition without early exit
@@ -222,12 +216,10 @@ void expect_variants_agree(g::graph_push_pull const& graph,
     EXPECT_EQ(t_pull.total_edges_inspected(), insp);
     EXPECT_EQ(t_pull.total_edges_relaxed(), relx);
 
-    // Emit accounting: scan publishes lock-free, bulk/listing3 publish
-    // under locks, and every relaxation is exactly one emit (no dedup).
+    // Emit accounting: scan publishes lock-free, listing3 publishes under
+    // a lock, and every relaxation is exactly one emit (no dedup).
     EXPECT_EQ(t_par.total_emits_scan(), relx);
     EXPECT_EQ(t_par.total_emits_lock(), 0u);
-    EXPECT_EQ(t_bulk.total_emits_lock(), relx);
-    EXPECT_EQ(t_bulk.total_emits_scan(), 0u);
     EXPECT_EQ(t_gen_l3.total_emits_lock(), relx);
     EXPECT_EQ(t_gen_l3.total_emits_scan(), 0u);
     EXPECT_EQ(t_par.total_dedup_hits(), 0u);
@@ -401,7 +393,7 @@ TEST(Differential, DensePushCountsAllRelaxationsDespiteDedup) {
 // --- frontier-generation strategies across the rest of the wired matrix ----
 
 // The edge-balanced advance honors the same generation axis as the plain
-// push: all three strategies (and dedup) agree with the sequential
+// push: both strategies (and dedup) agree with the sequential
 // reference on a skewed frontier.
 TEST(Differential, EdgeBalancedHonorsGenerationStrategies) {
   auto const graph = random_graph(17);
@@ -414,8 +406,7 @@ TEST(Differential, EdgeBalancedHonorsGenerationStrategies) {
       sorted(op::advance_push(ex::seq, graph, in, pure_mod).to_vector());
   auto const ref_set = deduped(ref);
 
-  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::bulk,
-                    ex::frontier_gen::listing3}) {
+  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
     auto const out = op::advance_push_edge_balanced(
         ex::par.with_frontier(mode), graph, in, pure_mod);
     EXPECT_EQ(sorted(out.to_vector()), ref);
@@ -438,8 +429,7 @@ TEST(Differential, EdgeCentricPipelineHonorsGenerationStrategies) {
   auto const ref =
       sorted(op::advance_push(ex::seq, graph, in, pure_mod).to_vector());
 
-  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::bulk,
-                    ex::frontier_gen::listing3}) {
+  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
     auto const policy = ex::par.with_frontier(mode);
     auto const edges = op::expand_to_edges(policy, graph, in);
     auto const out = op::advance_edges(policy, graph, edges, pure_mod);
@@ -459,10 +449,9 @@ TEST(Differential, FilterStrategiesAgree) {
   auto const ref = op::filter(ex::seq, in, pred).to_vector();  // input order
   auto const scan_out = op::filter(ex::par, in, pred);
   EXPECT_EQ(scan_out.to_vector(), ref);  // deterministic AND order-preserving
-  for (auto mode : {ex::frontier_gen::bulk, ex::frontier_gen::listing3}) {
-    auto const out = op::filter(ex::par.with_frontier(mode), in, pred);
-    EXPECT_EQ(sorted(out.to_vector()), ref);  // ref is already sorted
-  }
+  auto const locked =
+      op::filter(ex::par.with_frontier(ex::frontier_gen::listing3), in, pred);
+  EXPECT_EQ(sorted(locked.to_vector()), ref);  // ref is already sorted
 }
 
 // uniquify's claim bitmap rides the generation path's dedup hook: all
@@ -479,8 +468,7 @@ TEST(Differential, UniquifyStrategiesProduceTheSameSet) {
   op::uniquify(ex::seq, f_seq);
   EXPECT_EQ(f_seq.to_vector(), ref);
 
-  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::bulk,
-                    ex::frontier_gen::listing3}) {
+  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
     fr::sparse_frontier<vertex_t> f{dups};
     tel::trace t;
     {
@@ -502,21 +490,15 @@ TEST(Differential, UniquifyStrategiesProduceTheSameSet) {
   }
 }
 
-// --- cross-substrate matrix: stealing pool vs central-queue fallback -------
+// --- operator x generation-strategy matrix vs the sequential reference ----
 
-// The ESSENTIALS_CENTRAL_QUEUE knob exists exactly for this: pin one pool
-// to each substrate and assert the full operator x generation-strategy
-// matrix computes the same function.  The scan path must be *bit-identical*
-// (its output order is a function of the deterministic chunking contract,
-// which both substrates share); the locked paths (bulk/listing3) promise
-// multiset equality.
-TEST(Differential, AdvanceMatrixAgreesAcrossQueueSubstrates) {
-  essentials::parallel::thread_pool stealing(
-      8, essentials::parallel::queue_mode::stealing);
-  essentials::parallel::thread_pool central(
-      8, essentials::parallel::queue_mode::central);
-  ex::parallel_policy const on_stealing(stealing);
-  ex::parallel_policy const on_central(central);
+// `execution::seq` is the documented reference every parallel overload must
+// match.  The scan path must be *bit-identical* to it on an 8-worker pool
+// (scan output order is chunk-major, input order within a chunk — the
+// sequential order); the locked listing3 path promises multiset equality.
+TEST(Differential, AdvanceMatrixMatchesSeq) {
+  essentials::parallel::thread_pool pool(8);
+  ex::parallel_policy const on_pool(pool);
 
   for (std::uint64_t seed : {3u, 11u}) {
     auto const graph = random_graph(seed);
@@ -524,53 +506,42 @@ TEST(Differential, AdvanceMatrixAgreesAcrossQueueSubstrates) {
     for (vertex_t v = 0; v < 200; v += 2)
       seeds.push_back(v);
     fr::sparse_frontier<vertex_t> const in(std::move(seeds));
+    auto const ref = op::advance_push(ex::seq, graph, in, pure_mod).to_vector();
 
-    for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::bulk,
-                      ex::frontier_gen::listing3}) {
-      auto const a = op::advance_push(on_stealing.with_frontier(mode), graph,
-                                      in, pure_mod);
-      auto const b = op::advance_push(on_central.with_frontier(mode), graph,
-                                      in, pure_mod);
+    for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
+      auto const a = op::advance_push(on_pool.with_frontier(mode), graph, in,
+                                      pure_mod);
       if (mode == ex::frontier_gen::scan)
-        EXPECT_EQ(a.to_vector(), b.to_vector()) << "scan must be bit-identical";
+        EXPECT_EQ(a.to_vector(), ref) << "scan must be bit-identical";
       else
-        EXPECT_EQ(sorted(a.to_vector()), sorted(b.to_vector()));
+        EXPECT_EQ(sorted(a.to_vector()), sorted(ref));
     }
   }
 }
 
-TEST(Differential, FilterMatrixAgreesAcrossQueueSubstrates) {
-  essentials::parallel::thread_pool stealing(
-      8, essentials::parallel::queue_mode::stealing);
-  essentials::parallel::thread_pool central(
-      8, essentials::parallel::queue_mode::central);
-  ex::parallel_policy const on_stealing(stealing);
-  ex::parallel_policy const on_central(central);
+TEST(Differential, FilterMatrixMatchesSeq) {
+  essentials::parallel::thread_pool pool(8);
+  ex::parallel_policy const on_pool(pool);
 
   std::vector<vertex_t> ids;
   for (vertex_t v = 0; v < 10'000; ++v)
     ids.push_back(v);
   fr::sparse_frontier<vertex_t> const in(std::move(ids));
   auto const pred = [](vertex_t v) { return v % 7 != 2; };
+  auto const ref = op::filter(ex::seq, in, pred).to_vector();
 
-  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::bulk,
-                    ex::frontier_gen::listing3}) {
-    auto const a = op::filter(on_stealing.with_frontier(mode), in, pred);
-    auto const b = op::filter(on_central.with_frontier(mode), in, pred);
+  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
+    auto const a = op::filter(on_pool.with_frontier(mode), in, pred);
     if (mode == ex::frontier_gen::scan)
-      EXPECT_EQ(a.to_vector(), b.to_vector());  // deterministic input order
+      EXPECT_EQ(a.to_vector(), ref);  // deterministic input order
     else
-      EXPECT_EQ(sorted(a.to_vector()), sorted(b.to_vector()));
+      EXPECT_EQ(sorted(a.to_vector()), ref);  // ref is already sorted
   }
 }
 
-TEST(Differential, NeighborReduceMatrixAgreesAcrossQueueSubstrates) {
-  essentials::parallel::thread_pool stealing(
-      8, essentials::parallel::queue_mode::stealing);
-  essentials::parallel::thread_pool central(
-      8, essentials::parallel::queue_mode::central);
-  ex::parallel_policy const on_stealing(stealing);
-  ex::parallel_policy const on_central(central);
+TEST(Differential, NeighborReduceMatrixMatchesSeq) {
+  essentials::parallel::thread_pool pool(8);
+  ex::parallel_policy const on_pool(pool);
 
   auto const graph = random_graph(31);
   std::size_t const n = static_cast<std::size_t>(graph.get_num_vertices());
@@ -585,23 +556,120 @@ TEST(Differential, NeighborReduceMatrixAgreesAcrossQueueSubstrates) {
   auto const combine = [](double a, double b) { return a + b; };
   auto const activate = [](vertex_t, double acc) { return acc > 8.0; };
 
-  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::bulk,
-                    ex::frontier_gen::listing3}) {
+  std::vector<double> out_ref(n, -1.0);
+  auto const f_ref = op::neighbor_reduce_activate(
+      ex::seq, graph, in, 0.0, map_w, combine, activate, out_ref.data());
+
+  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
+    std::vector<double> out(n, -1.0);
+    auto const f = op::neighbor_reduce_activate(
+        on_pool.with_frontier(mode), graph, in, 0.0, map_w, combine,
+        activate, out.data());
+    // out[v] is one lane's in-order fold of v's edges regardless of
+    // scheduling: exact equality holds for every strategy.
+    EXPECT_EQ(out, out_ref);
+    if (mode == ex::frontier_gen::scan)
+      EXPECT_EQ(f.to_vector(), f_ref.to_vector());
+    else
+      EXPECT_EQ(sorted(f.to_vector()), sorted(f_ref.to_vector()));
+  }
+}
+
+// --- operator x generation-strategy matrix across the pool's two queues ---
+
+// A caller that holds a lane queues its run_blocked chunks on its own lane
+// deque; a caller that cannot claim one (every external slot held) queues
+// them on the locked FIFO injector.  Both follow the same chunking
+// contract, so the scan path is bit-identical across the two and listing3
+// agrees as a multiset.
+TEST(Differential, AdvanceMatrixAgreesAcrossQueueSubstrates) {
+  essentials::parallel::thread_pool deques(8);
+  essentials::parallel::thread_pool injector(8);
+  essentials::test_support::external_lanes_held const held(injector);
+  ex::parallel_policy const on_deques(deques);
+  ex::parallel_policy const on_injector(injector);
+
+  for (std::uint64_t seed : {3u, 11u}) {
+    auto const graph = random_graph(seed);
+    std::vector<vertex_t> seeds;
+    for (vertex_t v = 0; v < 200; v += 2)
+      seeds.push_back(v);
+    fr::sparse_frontier<vertex_t> const in(std::move(seeds));
+
+    for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
+      auto const a = op::advance_push(on_deques.with_frontier(mode), graph,
+                                      in, pure_mod);
+      auto const b = op::advance_push(on_injector.with_frontier(mode), graph,
+                                      in, pure_mod);
+      if (mode == ex::frontier_gen::scan)
+        EXPECT_EQ(a.to_vector(), b.to_vector()) << "scan must be bit-identical";
+      else
+        EXPECT_EQ(sorted(a.to_vector()), sorted(b.to_vector()));
+    }
+  }
+  EXPECT_EQ(deques.lane_id(), deques.size());  // claimed an external lane
+  EXPECT_EQ(injector.lane_id(), essentials::parallel::thread_pool::no_lane);
+}
+
+TEST(Differential, FilterMatrixAgreesAcrossQueueSubstrates) {
+  essentials::parallel::thread_pool deques(8);
+  essentials::parallel::thread_pool injector(8);
+  essentials::test_support::external_lanes_held const held(injector);
+  ex::parallel_policy const on_deques(deques);
+  ex::parallel_policy const on_injector(injector);
+
+  std::vector<vertex_t> ids;
+  for (vertex_t v = 0; v < 10'000; ++v)
+    ids.push_back(v);
+  fr::sparse_frontier<vertex_t> const in(std::move(ids));
+  auto const pred = [](vertex_t v) { return v % 7 != 2; };
+
+  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
+    auto const a = op::filter(on_deques.with_frontier(mode), in, pred);
+    auto const b = op::filter(on_injector.with_frontier(mode), in, pred);
+    if (mode == ex::frontier_gen::scan)
+      EXPECT_EQ(a.to_vector(), b.to_vector());
+    else
+      EXPECT_EQ(sorted(a.to_vector()), sorted(b.to_vector()));
+  }
+  EXPECT_EQ(injector.lane_id(), essentials::parallel::thread_pool::no_lane);
+}
+
+TEST(Differential, NeighborReduceMatrixAgreesAcrossQueueSubstrates) {
+  essentials::parallel::thread_pool deques(8);
+  essentials::parallel::thread_pool injector(8);
+  essentials::test_support::external_lanes_held const held(injector);
+  ex::parallel_policy const on_deques(deques);
+  ex::parallel_policy const on_injector(injector);
+
+  auto const graph = random_graph(31);
+  std::size_t const n = static_cast<std::size_t>(graph.get_num_vertices());
+  std::vector<vertex_t> seeds;
+  for (vertex_t v = 0; v < 200; v += 3)
+    seeds.push_back(v);
+  fr::sparse_frontier<vertex_t> const in(std::move(seeds));
+
+  auto const map_w = [](vertex_t, vertex_t d, edge_t, weight_t w) {
+    return static_cast<double>(w) + static_cast<double>(d);
+  };
+  auto const combine = [](double a, double b) { return a + b; };
+  auto const activate = [](vertex_t, double acc) { return acc > 8.0; };
+
+  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
     std::vector<double> out_a(n, -1.0), out_b(n, -1.0);
     auto const fa = op::neighbor_reduce_activate(
-        on_stealing.with_frontier(mode), graph, in, 0.0, map_w, combine,
+        on_deques.with_frontier(mode), graph, in, 0.0, map_w, combine,
         activate, out_a.data());
     auto const fb = op::neighbor_reduce_activate(
-        on_central.with_frontier(mode), graph, in, 0.0, map_w, combine,
+        on_injector.with_frontier(mode), graph, in, 0.0, map_w, combine,
         activate, out_b.data());
-    // out[v] is written once per active v regardless of scheduling: exact
-    // equality holds for every strategy on both substrates.
     EXPECT_EQ(out_a, out_b);
     if (mode == ex::frontier_gen::scan)
       EXPECT_EQ(fa.to_vector(), fb.to_vector());
     else
       EXPECT_EQ(sorted(fa.to_vector()), sorted(fb.to_vector()));
   }
+  EXPECT_EQ(injector.lane_id(), essentials::parallel::thread_pool::no_lane);
 }
 
 // Dense->dense push agrees with the sparse->dense path on the same input
@@ -666,8 +734,8 @@ void expect_strategies_agree(g::graph_push_pull const& graph,
   auto const ref_set = deduped(ref);
 
   for (auto const lb : all_strategies) {
-    for (auto const mode : {ex::frontier_gen::scan, ex::frontier_gen::bulk,
-                            ex::frontier_gen::listing3}) {
+    for (auto const mode :
+         {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
       auto const policy = ex::par.with_load_balance(lb).with_frontier(mode);
       auto const out = op::advance_balanced(policy, graph, in, cond);
       EXPECT_EQ(sorted(out.to_vector()), ref)
@@ -724,16 +792,17 @@ TEST(LoadBalanceDifferential, UniformRandomFrontiers) {
 }
 
 // Under frontier_gen::scan (no dedup) each strategy's output order is a
-// deterministic function of the chunking contract, which both queue
-// substrates share: stealing vs central must be *bit-identical*, and two
-// runs on one pool must reproduce the same vector.
-TEST(LoadBalanceDifferential, BitIdenticalAcrossSubstratesPerStrategy) {
-  essentials::parallel::thread_pool stealing(
-      8, essentials::parallel::queue_mode::stealing);
-  essentials::parallel::thread_pool central(
-      8, essentials::parallel::queue_mode::central);
-  ex::parallel_policy const on_stealing(stealing);
-  ex::parallel_policy const on_central(central);
+// deterministic function of the chunking contract.  thread_mapped and
+// edge_balanced emit in frontier order, so they are *bit-identical* to the
+// sequential reference; degree_class emits in bucket order, so it (and
+// auto_select, which may resolve to it) matches the reference as a
+// multiset.  Every strategy must be bit-identical across two 8-worker pools
+// and across two runs on one pool.
+TEST(LoadBalanceDifferential, BitIdenticalPerStrategy) {
+  essentials::parallel::thread_pool pool_a(8);
+  essentials::parallel::thread_pool pool_b(8);
+  ex::parallel_policy const on_a(pool_a);
+  ex::parallel_policy const on_b(pool_b);
 
   for (auto const& graph : {skewed_rmat_graph(7), celebrity_graph()}) {
     std::size_t const n = static_cast<std::size_t>(graph.get_num_vertices());
@@ -741,16 +810,25 @@ TEST(LoadBalanceDifferential, BitIdenticalAcrossSubstratesPerStrategy) {
     for (std::size_t v = 0; v < n; v += 2)
       seeds.push_back(static_cast<vertex_t>(v));
     fr::sparse_frontier<vertex_t> const in(std::move(seeds));
+    auto const ref =
+        op::advance_push(ex::seq, graph, in, pure_mod).to_vector();
 
     for (auto const lb : all_strategies) {
-      auto const a = op::advance_balanced(on_stealing.with_load_balance(lb),
-                                          graph, in, pure_mod);
-      auto const b = op::advance_balanced(on_central.with_load_balance(lb),
-                                          graph, in, pure_mod);
+      auto const a =
+          op::advance_balanced(on_a.with_load_balance(lb), graph, in, pure_mod);
+      if (lb == ex::load_balance::thread_mapped ||
+          lb == ex::load_balance::edge_balanced)
+        EXPECT_EQ(a.to_vector(), ref)
+            << "strategy=" << ex::to_string(lb) << " must match seq exactly";
+      else
+        EXPECT_EQ(sorted(a.to_vector()), sorted(ref))
+            << "strategy=" << ex::to_string(lb);
+      auto const b =
+          op::advance_balanced(on_b.with_load_balance(lb), graph, in, pure_mod);
       EXPECT_EQ(a.to_vector(), b.to_vector())
           << "strategy=" << ex::to_string(lb) << " must be bit-identical";
-      auto const a2 = op::advance_balanced(on_stealing.with_load_balance(lb),
-                                           graph, in, pure_mod);
+      auto const a2 =
+          op::advance_balanced(on_a.with_load_balance(lb), graph, in, pure_mod);
       EXPECT_EQ(a.to_vector(), a2.to_vector()) << "two-run determinism";
     }
   }

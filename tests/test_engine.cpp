@@ -10,6 +10,7 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -27,6 +28,7 @@
 #include "engine/stats.hpp"
 #include "graph/dynamic.hpp"
 #include "graph/graph.hpp"
+#include "lane_slots.hpp"
 
 namespace eng = essentials::engine;
 namespace en = essentials::enactor;
@@ -309,16 +311,18 @@ TEST(EngineScheduler, CancelStopsRunningJobAndDropsQueuedJob) {
   EXPECT_FALSE(ran.load());
 }
 
-// Substrate smoke: deadline and cancel must survive the work-stealing pool
-// exactly as they did on the central queue.  The job body drives real
-// run_blocked supersteps through an explicitly-pinned pool of each
-// queue_mode, so a cooperative stop has to land *between* supersteps while
-// chunks are being stolen and helped across lanes.
+// Substrate smoke: deadline and cancel must survive both routes a
+// run_blocked caller's chunks can take — its lane deque (stolen and helped
+// across lanes) and, when every external lane slot is held, the locked
+// injector.  The job body drives real run_blocked supersteps through an
+// explicitly-pinned pool, so a cooperative stop has to land *between*
+// supersteps.
 TEST(EngineScheduler, DeadlineAndCancelSurviveBothQueueSubstrates) {
-  for (auto mode : {essentials::parallel::queue_mode::stealing,
-                    essentials::parallel::queue_mode::central}) {
-    essentials::parallel::thread_pool pool(4, mode);
-    exec::parallel_policy const on_pool(pool);
+  for (bool const injector : {false, true}) {
+    essentials::parallel::thread_pool pool(4);
+    std::optional<essentials::test_support::external_lanes_held> held;
+    if (injector)
+      held.emplace(pool);
     eng::job_scheduler sched({/*num_runners=*/1, /*max_queued=*/4});
 
     // Deadline: a never-converging BSP loop whose step is pool-parallel.
@@ -345,7 +349,7 @@ TEST(EngineScheduler, DeadlineAndCancelSurviveBothQueueSubstrates) {
           return std::make_shared<int const>(7);
         });
     EXPECT_EQ(timed->wait(), eng::job_status::deadline_expired)
-        << "mode " << static_cast<int>(mode);
+        << "injector " << injector;
     EXPECT_GE(supersteps.load(), 1u);
     EXPECT_EQ(timed->result(), nullptr);
 
@@ -371,7 +375,7 @@ TEST(EngineScheduler, DeadlineAndCancelSurviveBothQueueSubstrates) {
       std::this_thread::sleep_for(1ms);
     running->cancel();
     EXPECT_EQ(running->wait(), eng::job_status::cancelled)
-        << "mode " << static_cast<int>(mode);
+        << "injector " << injector;
   }
 }
 

@@ -146,8 +146,7 @@ TEST(Mapped, OperatorsAndAlgorithmsMatchPlainCsr) {
       sorted_copy(op::advance_push(ex::seq, flat, in, cond).to_vector());
   EXPECT_EQ(sorted_copy(op::advance_push(ex::seq, mg, in, cond).to_vector()),
             ref);
-  for (auto const fg : {ex::frontier_gen::scan, ex::frontier_gen::bulk,
-                        ex::frontier_gen::listing3})
+  for (auto const fg : {ex::frontier_gen::scan, ex::frontier_gen::listing3})
     EXPECT_EQ(sorted_copy(op::advance_push(ex::par.with_frontier(fg), mg, in,
                                            cond)
                               .to_vector()),

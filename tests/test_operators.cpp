@@ -343,11 +343,11 @@ TEST(ExecutionPolicies, PolicyCarriesItsPool) {
 }
 
 TEST(ExecutionPolicies, BuildersComposeWithoutMutatingTheSource) {
-  auto const p = ex::par.with_frontier(ex::frontier_gen::bulk)
+  auto const p = ex::par.with_frontier(ex::frontier_gen::listing3)
                      .with_dedup()
                      .with_edge_grain(4)
                      .with_grain(128);
-  EXPECT_EQ(p.frontier, ex::frontier_gen::bulk);
+  EXPECT_EQ(p.frontier, ex::frontier_gen::listing3);
   EXPECT_TRUE(p.dedup);
   EXPECT_EQ(p.edge_grain, 4u);
   EXPECT_EQ(p.grain, 128u);
@@ -412,8 +412,7 @@ TEST(NeighborReduceActivate, SeqMatchesParAcrossStrategies) {
                                                 ref_sums.data());
   auto const ref_sorted = sorted(ref.to_vector());
 
-  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::bulk,
-                    ex::frontier_gen::listing3}) {
+  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
     std::vector<long> sums(n, 0);
     auto const out = op::neighbor_reduce_activate(
         ex::par.with_frontier(mode), graph, in, 0L, map, combine, activate,
@@ -441,15 +440,13 @@ TEST(NeighborReduceActivate, FrontierRestriction) {
 
 TEST(LoadBalancePolicy, BuildersComposeWithoutMutatingTheSource) {
   auto const p = ex::par.with_load_balance(ex::load_balance::degree_class)
-                     .with_edge_grain_floor(128);
+                     .with_grain(128);
   EXPECT_EQ(p.balance, ex::load_balance::degree_class);
-  EXPECT_EQ(p.edge_grain_floor, 128u);
+  EXPECT_EQ(p.grain, 128u);
   // The shared const instance keeps the defaults.
   EXPECT_EQ(ex::par.balance, ex::load_balance::thread_mapped);
-  EXPECT_EQ(ex::par.edge_grain_floor, ex::edge_grain_floor_from_env());
-  // Without the env override the floor is the documented 64-edge default.
-  if (std::getenv("ESSENTIALS_EDGE_GRAIN") == nullptr)
-    EXPECT_EQ(ex::par.edge_grain_floor, ex::default_edge_grain_floor);
+  EXPECT_EQ(ex::par.grain, ex::default_grain);
+  // Edge-domain chunks are floored at the documented 64-edge constant.
   EXPECT_EQ(ex::default_edge_grain_floor, 64u);
 }
 
@@ -469,8 +466,7 @@ TEST(LoadBalanceHeuristic, AutoSelectCoversTheDecisionTree) {
     s.max_degree = maxd;
     s.mean_degree = mean;
     s.stddev_degree = stddev;
-    return op::detail::auto_select_strategy(f, s, /*lanes=*/8,
-                                            /*edge_grain_floor=*/64);
+    return op::detail::auto_select_strategy(f, s, /*lanes=*/8);
   };
   // Empty frontier: nothing to decompose.
   EXPECT_EQ(pick(0, 100000, 16.0, 64.0), lb::thread_mapped);

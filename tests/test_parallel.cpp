@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "lane_slots.hpp"
 #include "parallel/atomic_bitset.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/for_each.hpp"
@@ -85,90 +86,6 @@ TEST(ThreadPool, NestedRunBlockedFromWorkerDoesNotDeadlock) {
       inner.fetch_add(1);
   });
   EXPECT_EQ(inner.load(), 4);
-}
-
-TEST(ThreadPool, UrgentTasksJumpTheQueue) {
-  p::thread_pool pool(1);  // one lane => deterministic execution order
-  std::mutex m;
-  std::vector<int> order;
-  std::atomic<bool> release{false};
-  // Occupy the single worker so subsequent submissions queue up.
-  pool.submit([&] {
-    while (!release.load())
-      std::this_thread::yield();
-  });
-  for (int i = 0; i < 3; ++i)
-    pool.submit([&, i] {
-      std::lock_guard<std::mutex> g(m);
-      order.push_back(i);
-    });
-  pool.submit_urgent([&] {
-    std::lock_guard<std::mutex> g(m);
-    order.push_back(99);
-  });
-  release.store(true);
-  pool.wait_idle();
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order[0], 99);  // the urgent task ran before every queued task
-  EXPECT_EQ((std::vector<int>{order[1], order[2], order[3]}),
-            (std::vector<int>{0, 1, 2}));
-}
-
-TEST(ThreadPool, DiscardPendingDropsQueuedNotRunning) {
-  p::thread_pool pool(1);
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> ran{0};
-  pool.submit([&] {
-    started.store(true);
-    while (!release.load())
-      std::this_thread::yield();
-    ran.fetch_add(1);
-  });
-  while (!started.load())  // blocker is running, not queued
-    std::this_thread::yield();
-  for (int i = 0; i < 8; ++i)
-    pool.submit([&] { ran.fetch_add(1); });
-  std::size_t const discarded = pool.discard_pending();
-  release.store(true);
-  pool.wait_idle();  // must not wedge: discarded tasks released their slots
-  EXPECT_EQ(discarded, 8u);
-  EXPECT_EQ(ran.load(), 1);  // only the already-running task completed
-}
-
-TEST(ThreadPool, DiscardPendingCountsUrgentClass) {
-  // Both priority classes are queued work: a shutdown drain must count and
-  // drop urgent tasks too, in both substrates.
-  for (auto mode : {p::queue_mode::stealing, p::queue_mode::central}) {
-    p::thread_pool pool(1, mode);
-    std::atomic<bool> started{false};
-    std::atomic<bool> release{false};
-    std::atomic<int> ran{0};
-    pool.submit([&] {
-      started.store(true);
-      while (!release.load())
-        std::this_thread::yield();
-    });
-    while (!started.load())
-      std::this_thread::yield();
-    for (int i = 0; i < 3; ++i)
-      pool.submit([&] { ran.fetch_add(1); });
-    for (int i = 0; i < 5; ++i)
-      pool.submit_urgent([&] { ran.fetch_add(1); });
-    std::size_t const discarded = pool.discard_pending();
-    release.store(true);
-    pool.wait_idle();
-    EXPECT_EQ(discarded, 8u) << "normal + urgent, mode "
-                             << static_cast<int>(mode);
-    EXPECT_EQ(ran.load(), 0);
-  }
-}
-
-TEST(ThreadPool, ZeroThreadsNormalizedInExplicitModeCtor) {
-  p::thread_pool pool(0, p::queue_mode::stealing);
-  EXPECT_EQ(pool.size(), 1u);
-  p::thread_pool central(0, p::queue_mode::central);
-  EXPECT_EQ(central.size(), 1u);
 }
 
 TEST(ThreadPool, BulkStepHonorsGrainAndLaneCap) {
@@ -689,16 +606,21 @@ TEST(ExclusiveScan, ScanMapEmptyAndSingle) {
 TEST(ExclusiveScan, DeterministicAcrossSubstratesForFixedWidth) {
   // The blocked scan's per-chunk combine runs in chunk order on the
   // coordinating thread: for one pool width the offsets are a pure
-  // function of (n, input), whichever queue substrate runs the sweeps.
+  // function of (n, input), whichever route the sweeps' chunks take — the
+  // caller's lane deque, or the locked injector when every external lane
+  // slot is held.
   std::size_t const n = 100000;
   std::vector<std::size_t> in(n);
   for (std::size_t i = 0; i < n; ++i)
     in[i] = (i * 7 + 3) % 97;
   std::vector<std::size_t> a(n), b(n);
-  p::thread_pool stealing(8, p::queue_mode::stealing);
-  p::thread_pool central(8, p::queue_mode::central);
-  auto const ta = p::exclusive_scan(stealing, in.data(), n, a.data());
-  auto const tb = p::exclusive_scan(central, in.data(), n, b.data());
+  p::thread_pool deques(8);
+  p::thread_pool injector(8);
+  essentials::test_support::external_lanes_held const held(injector);
+  auto const ta = p::exclusive_scan(deques, in.data(), n, a.data());
+  auto const tb = p::exclusive_scan(injector, in.data(), n, b.data());
+  EXPECT_EQ(deques.lane_id(), deques.size());  // claimed an external lane
+  EXPECT_EQ(injector.lane_id(), p::thread_pool::no_lane);
   EXPECT_EQ(ta, tb);
   EXPECT_EQ(a, b);
 }

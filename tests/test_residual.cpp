@@ -7,11 +7,12 @@
 // reference enactment on the same snapshot — bit-identical for the
 // min-lattices (SSSP vs dijkstra, reachability vs BFS depths), within ε
 // for the weighted sums (PageRank vs power iteration, PPR vs forward
-// push, spread vs a Jacobi reference computed in-test) — across the
-// stealing/flat, stealing/tiered and central substrates.  The
-// Residual-prefixed suites join the CI TSAN matrix; the storm test
-// hammers a threaded standing query with publishes and concurrent
-// snapshot readers.
+// push, spread vs a Jacobi reference computed in-test).  The SSSP suite
+// coordinates its waves both from a lane-holding thread and from a
+// lane-less one (the injector route, whose inline stages land in the
+// buckets' overflow slot).  The Residual-prefixed suites join the CI
+// TSAN matrix; the storm test hammers a threaded standing query with
+// publishes and concurrent snapshot readers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -36,6 +37,7 @@
 #include "engine/engine.hpp"
 #include "graph/dynamic.hpp"
 #include "graph/graph.hpp"
+#include "lane_slots.hpp"
 #include "parallel/thread_pool.hpp"
 #include "residual/algebras.hpp"
 #include "residual/buckets.hpp"
@@ -184,7 +186,7 @@ TEST(ResidualBuckets, OverflowLaneIsNeverLost) {
 }
 
 // ---------------------------------------------------------------------------
-// SSSP: bit-identical to dijkstra across substrates
+// SSSP: bit-identical to dijkstra on both scheduling routes
 // ---------------------------------------------------------------------------
 
 TEST(ResidualSssp, MatchesDijkstraAcrossSubstrates) {
@@ -192,16 +194,12 @@ TEST(ResidualSssp, MatchesDijkstraAcrossSubstrates) {
   for (vertex_t const source : {vertex_t{0}, vertex_t{57}, vertex_t{133}}) {
     auto const want = alg::dijkstra(g, source).distances;
     {
-      p::thread_pool pool(4, p::queue_mode::stealing, p::steal_order::flat);
+      p::thread_pool pool(4);
       expect_bit_identical(residual_sssp(g, source, pool), want);
     }
     {
-      p::thread_pool pool(4, p::queue_mode::stealing,
-                          p::steal_order::tiered);
-      expect_bit_identical(residual_sssp(g, source, pool), want);
-    }
-    {
-      p::thread_pool pool(4, p::queue_mode::central);
+      p::thread_pool pool(4);
+      essentials::test_support::external_lanes_held const held(pool);
       expect_bit_identical(residual_sssp(g, source, pool), want);
     }
   }

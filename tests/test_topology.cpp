@@ -1,46 +1,30 @@
 // Tests for the topology layer (parallel/topology.hpp): the sysfs parser
 // against canned fixture trees (2-socket SMT, 1-socket, SMT-off), the
 // single-node fallback, the placement policies (worker packing, steal
-// tiers, barrier leaf order), first-touch placement semantics, and the
-// NUMA differential suite asserting the tiered steal order computes
-// bit-identical results to the flat baseline across the operator matrix.
-// The differential suites run under the CI TSAN matrix.
+// tiers), first-touch placement semantics, and deterministic CSR
+// construction under first-touch.  The operator matrix runs against the
+// sequential reference in test_differential.cpp, in both NUMA CI legs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "core/execution.hpp"
-#include "core/frontier/frontier.hpp"
-#include "core/operators/advance.hpp"
-#include "core/operators/filter.hpp"
-#include "core/operators/neighbor_reduce.hpp"
 #include "generators/generators.hpp"
 #include "graph/build.hpp"
 #include "graph/graph.hpp"
 #include "graph/properties.hpp"
-#include "parallel/barrier.hpp"
 #include "parallel/first_touch.hpp"
 #include "parallel/thread_pool.hpp"
 #include "parallel/topology.hpp"
 
-namespace ex = essentials::execution;
-namespace fr = essentials::frontier;
 namespace g = essentials::graph;
 namespace gen = essentials::generators;
-namespace op = essentials::operators;
 namespace p = essentials::parallel;
-using essentials::vertex_t;
-using essentials::edge_t;
-using essentials::weight_t;
 
 namespace {
 
@@ -246,36 +230,6 @@ TEST(Topology, TieredVictimsOnFlatTopologyCollapseToOneTier) {
   EXPECT_EQ(tiers.package_end, tiers.victims.size());  // everyone local
 }
 
-TEST(Topology, LeafOrderIsASocketContiguousPermutation) {
-  auto const topo = p::machine_topology::discover(
-      make_sysfs_fixture("leaf", two_socket_smt()).string());
-  auto const cpu_of = p::assign_workers(topo, 8);
-  // 8 workers + 2 external lanes.
-  auto const slot_of = p::topo_leaf_order(topo, cpu_of, 10);
-  ASSERT_EQ(slot_of.size(), 10u);
-  std::set<std::size_t> const slots(slot_of.begin(), slot_of.end());
-  EXPECT_EQ(slots.size(), 10u);  // a permutation
-  EXPECT_EQ(*slots.begin(), 0u);
-  EXPECT_EQ(*slots.rbegin(), 9u);
-  // Each package's workers occupy a contiguous slot range.
-  std::vector<std::size_t> pkg0_slots, pkg1_slots;
-  for (std::size_t w = 0; w < 8; ++w)
-    (p::node_of_cpu(topo, cpu_of[w]) == 0 ? pkg0_slots : pkg1_slots)
-        .push_back(slot_of[w]);
-  auto const contiguous = [](std::vector<std::size_t> v) {
-    std::sort(v.begin(), v.end());
-    for (std::size_t i = 1; i < v.size(); ++i)
-      if (v[i] != v[i - 1] + 1)
-        return false;
-    return true;
-  };
-  EXPECT_TRUE(contiguous(pkg0_slots));
-  EXPECT_TRUE(contiguous(pkg1_slots));
-  // External lanes sort after every worker, keeping their relative order.
-  EXPECT_EQ(slot_of[8], 8u);
-  EXPECT_EQ(slot_of[9], 9u);
-}
-
 TEST(Topology, SystemTopologyIsSane) {
   auto const& topo = p::system_topology();
   EXPECT_GE(topo.num_cpus(), 1u);
@@ -285,39 +239,10 @@ TEST(Topology, SystemTopologyIsSane) {
   EXPECT_EQ(cpu_of.size(), 4u);
 }
 
-// --- tree barrier with a topology-permuted leaf layout -----------------------
-
-TEST(Topology, PermutedBarrierLayoutSurvivesReuse) {
-  auto const topo = p::machine_topology::discover(
-      make_sysfs_fixture("barrier", two_socket_smt()).string());
-  auto const cpu_of = p::assign_workers(topo, 8);
-  constexpr std::size_t participants = 8;
-  p::tree_barrier barrier(participants,
-                          p::topo_leaf_order(topo, cpu_of, participants));
-  constexpr int rounds = 2000;
-  std::atomic<long long> sum{0};
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (std::size_t id = 0; id < participants; ++id)
-    threads.emplace_back([&, id] {
-      for (int r = 0; r < rounds; ++r) {
-        sum.fetch_add(1);
-        barrier.arrive_and_wait(id);
-        if (sum.load() != static_cast<long long>(participants) * (r + 1))
-          failures.fetch_add(1);
-        barrier.arrive_and_wait(id);
-      }
-    });
-  for (auto& t : threads)
-    t.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(barrier.generation(), static_cast<std::uint64_t>(2 * rounds));
-}
-
 // --- first-touch placement ---------------------------------------------------
 
 TEST(FirstTouch, ParallelAndSerialFillsAreBitIdentical) {
-  p::thread_pool pool(4, p::queue_mode::stealing);
+  p::thread_pool pool(4);
   // Big enough to cross first_touch_min_bytes so the parallel path runs.
   std::size_t const n = (std::size_t{1} << 20) / sizeof(double) + 12345;
   auto const on = p::first_touch_vector<double>(pool, n, 3.5, /*numa=*/true);
@@ -327,14 +252,14 @@ TEST(FirstTouch, ParallelAndSerialFillsAreBitIdentical) {
 }
 
 TEST(FirstTouch, SmallArraysFillSerially) {
-  p::thread_pool pool(2, p::queue_mode::stealing);
+  p::thread_pool pool(2);
   auto const v = p::first_touch_vector<int>(pool, 100, 7, /*numa=*/true);
   EXPECT_EQ(v.size(), 100u);
   EXPECT_TRUE(std::all_of(v.begin(), v.end(), [](int x) { return x == 7; }));
 }
 
 TEST(FirstTouch, FillOverwritesEverySlot) {
-  p::thread_pool pool(4, p::queue_mode::stealing);
+  p::thread_pool pool(4);
   std::size_t const n = (std::size_t{1} << 21) / sizeof(std::uint64_t);
   p::numa_vector<std::uint64_t> v;
   v.resize(n);  // default-init: contents unspecified
@@ -356,127 +281,7 @@ TEST(FirstTouch, DefaultInitAllocatorStillValueConstructsWithArgs) {
   EXPECT_TRUE(s[0].empty() && s[1].empty() && s[2].empty());
 }
 
-// --- NUMA differential: tiered steal order vs flat baseline -----------------
-
-namespace {
-
-std::vector<vertex_t> sorted(std::vector<vertex_t> v) {
-  std::sort(v.begin(), v.end());
-  return v;
-}
-
-g::graph_push_pull random_graph(std::uint64_t seed) {
-  auto coo = gen::erdos_renyi(/*n=*/200, /*m=*/1500, {}, seed);
-  return g::from_coo<g::graph_push_pull>(std::move(coo));
-}
-
-auto const pure_mod = [](vertex_t s, vertex_t d, edge_t, weight_t) {
-  return (static_cast<std::size_t>(s) * 7 + static_cast<std::size_t>(d) * 13) %
-             3 !=
-         0;
-};
-
-}  // namespace
-
-TEST(NumaDifferential, StealOrderKnobSelectsOrder) {
-  p::thread_pool tiered(2, p::queue_mode::stealing, p::steal_order::tiered);
-  p::thread_pool flat(2, p::queue_mode::stealing, p::steal_order::flat);
-  EXPECT_EQ(tiered.order(), p::steal_order::tiered);
-  EXPECT_EQ(flat.order(), p::steal_order::flat);
-  EXPECT_EQ(tiered.worker_cpus().size(), 2u);
-  // The chunking contract is independent of steal order.
-  for (std::size_t n : {7u, 1777u, 65536u})
-    EXPECT_EQ(tiered.bulk_step(n, 16), flat.bulk_step(n, 16));
-}
-
-// The acceptance bar: NUMA-on (tiered) == NUMA-off (flat) bit-identical
-// across advance x generation strategies.  Scan output order is a function
-// of the deterministic chunking contract, which both steal orders share.
-TEST(NumaDifferential, AdvanceMatrixAgreesAcrossStealOrders) {
-  p::thread_pool tiered(8, p::queue_mode::stealing, p::steal_order::tiered);
-  p::thread_pool flat(8, p::queue_mode::stealing, p::steal_order::flat);
-  ex::parallel_policy const on_tiered(tiered);
-  ex::parallel_policy const on_flat(flat);
-
-  for (std::uint64_t seed : {3u, 11u}) {
-    auto const graph = random_graph(seed);
-    std::vector<vertex_t> seeds;
-    for (vertex_t v = 0; v < 200; v += 2)
-      seeds.push_back(v);
-    fr::sparse_frontier<vertex_t> const in(std::move(seeds));
-
-    for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::bulk,
-                      ex::frontier_gen::listing3}) {
-      auto const a =
-          op::advance_push(on_tiered.with_frontier(mode), graph, in, pure_mod);
-      auto const b =
-          op::advance_push(on_flat.with_frontier(mode), graph, in, pure_mod);
-      if (mode == ex::frontier_gen::scan)
-        EXPECT_EQ(a.to_vector(), b.to_vector()) << "scan must be bit-identical";
-      else
-        EXPECT_EQ(sorted(a.to_vector()), sorted(b.to_vector()));
-    }
-  }
-}
-
-TEST(NumaDifferential, FilterMatrixAgreesAcrossStealOrders) {
-  p::thread_pool tiered(8, p::queue_mode::stealing, p::steal_order::tiered);
-  p::thread_pool flat(8, p::queue_mode::stealing, p::steal_order::flat);
-  ex::parallel_policy const on_tiered(tiered);
-  ex::parallel_policy const on_flat(flat);
-
-  std::vector<vertex_t> ids;
-  for (vertex_t v = 0; v < 10'000; ++v)
-    ids.push_back(v);
-  fr::sparse_frontier<vertex_t> const in(std::move(ids));
-  auto const pred = [](vertex_t v) { return v % 7 != 2; };
-
-  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::bulk,
-                    ex::frontier_gen::listing3}) {
-    auto const a = op::filter(on_tiered.with_frontier(mode), in, pred);
-    auto const b = op::filter(on_flat.with_frontier(mode), in, pred);
-    if (mode == ex::frontier_gen::scan)
-      EXPECT_EQ(a.to_vector(), b.to_vector());
-    else
-      EXPECT_EQ(sorted(a.to_vector()), sorted(b.to_vector()));
-  }
-}
-
-TEST(NumaDifferential, NeighborReduceMatrixAgreesAcrossStealOrders) {
-  p::thread_pool tiered(8, p::queue_mode::stealing, p::steal_order::tiered);
-  p::thread_pool flat(8, p::queue_mode::stealing, p::steal_order::flat);
-  ex::parallel_policy const on_tiered(tiered);
-  ex::parallel_policy const on_flat(flat);
-
-  auto const graph = random_graph(31);
-  std::size_t const n = static_cast<std::size_t>(graph.get_num_vertices());
-  std::vector<vertex_t> seeds;
-  for (vertex_t v = 0; v < 200; v += 3)
-    seeds.push_back(v);
-  fr::sparse_frontier<vertex_t> const in(std::move(seeds));
-
-  auto const map_w = [](vertex_t, vertex_t d, edge_t, weight_t w) {
-    return static_cast<double>(w) + static_cast<double>(d);
-  };
-  auto const combine = [](double a, double b) { return a + b; };
-  auto const activate = [](vertex_t, double acc) { return acc > 8.0; };
-
-  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::bulk,
-                    ex::frontier_gen::listing3}) {
-    std::vector<double> out_a(n, -1.0), out_b(n, -1.0);
-    auto const fa = op::neighbor_reduce_activate(
-        on_tiered.with_frontier(mode), graph, in, 0.0, map_w, combine,
-        activate, out_a.data());
-    auto const fb = op::neighbor_reduce_activate(
-        on_flat.with_frontier(mode), graph, in, 0.0, map_w, combine, activate,
-        out_b.data());
-    EXPECT_EQ(out_a, out_b);
-    if (mode == ex::frontier_gen::scan)
-      EXPECT_EQ(fa.to_vector(), fb.to_vector());
-    else
-      EXPECT_EQ(sorted(fa.to_vector()), sorted(fb.to_vector()));
-  }
-}
+// --- deterministic construction under first-touch -------------------------
 
 // CSR construction through the first-touch path is deterministic: building
 // the same COO twice (placement pre-touch on, then effectively exercised

@@ -1,11 +1,12 @@
 // Torture tests for the work-stealing execution substrate: the Chase–Lev
-// deque (steal-vs-pop races, growth under fire), the tree barrier and
-// striped completion latch (reuse across thousands of generations), and the
-// stealing thread pool (ops-conservation storms, re-entrancy, the
+// deque (steal-vs-pop races, growth under fire), the striped completion
+// latch (reuse across generations), and the stealing thread pool
+// (ops-conservation storms, re-entrancy, external lane slots, the
 // "queue empty != pool idle" regression).  All suites here run under the
 // CI TSAN matrix — every assertion doubles as a race detector payload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -14,8 +15,10 @@
 #include <thread>
 #include <vector>
 
+#include "lane_slots.hpp"
 #include "parallel/barrier.hpp"
 #include "parallel/thread_pool.hpp"
+#include "parallel/topology.hpp"
 #include "parallel/work_deque.hpp"
 
 namespace p = essentials::parallel;
@@ -194,75 +197,6 @@ TEST(WorkDeque, GrowthUnderConcurrentStealsConservesTasks) {
     ASSERT_EQ(claims[static_cast<std::size_t>(i)].load(), 1) << "value " << i;
 }
 
-// --- tree_barrier ------------------------------------------------------------
-
-namespace {
-
-// Drive `rounds` supersteps through one barrier with `participants` threads.
-// Oracle per round: a shared counter incremented once per thread before the
-// barrier must read exactly participants * (round + 1) after it; a second
-// barrier keeps fast threads from incrementing ahead of the check.
-void drive_barrier(std::size_t participants, int rounds,
-                   bool slow_participant = false) {
-  p::tree_barrier barrier(participants);
-  std::atomic<long long> sum{0};
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (std::size_t id = 0; id < participants; ++id)
-    threads.emplace_back([&, id] {
-      for (int r = 0; r < rounds; ++r) {
-        if (slow_participant && id == 0 && r % 8 == 0)
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        sum.fetch_add(1);
-        barrier.arrive_and_wait(id);
-        long long const expected =
-            static_cast<long long>(participants) * (r + 1);
-        if (sum.load() != expected)
-          failures.fetch_add(1);
-        barrier.arrive_and_wait(id);
-      }
-    });
-  for (auto& t : threads)
-    t.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(sum.load(),
-            static_cast<long long>(participants) * rounds);
-  EXPECT_EQ(barrier.generation(), static_cast<std::uint64_t>(2 * rounds));
-}
-
-}  // namespace
-
-TEST(TreeBarrier, ReusableAcrossTenThousandSupersteps) {
-  drive_barrier(4, 10'000);
-}
-
-TEST(TreeBarrier, MixedFastAndSlowParticipantsFlipSenseCorrectly) {
-  // The slow participant overruns every fast thread's spin budget, forcing
-  // the futex-park path; the sum oracle proves no generation tears.
-  drive_barrier(4, 256, /*slow_participant=*/true);
-}
-
-TEST(TreeBarrier, EveryParticipantCountAcrossFanInBoundaries) {
-  // 1..9 participants crosses the fan-in-4 tree shapes: single node, one
-  // full leaf, leaf+remainder, and a two-level tree.
-  for (std::size_t participants = 1; participants <= 9; ++participants)
-    drive_barrier(participants, 200);
-}
-
-TEST(TreeBarrier, SingleParticipantNeverBlocks) {
-  p::tree_barrier barrier(1);
-  for (int r = 0; r < 1000; ++r)
-    barrier.arrive_and_wait(0);
-  EXPECT_EQ(barrier.generation(), 1000u);
-}
-
-TEST(TreeBarrier, ZeroParticipantsNormalizedToOne) {
-  p::tree_barrier barrier(0);
-  EXPECT_EQ(barrier.participants(), 1u);
-  barrier.arrive_and_wait(0);  // must not hang
-  EXPECT_EQ(barrier.generation(), 1u);
-}
-
 // --- completion_latch --------------------------------------------------------
 
 TEST(CompletionLatch, ZeroCountIsImmediatelyDone) {
@@ -317,20 +251,8 @@ TEST(CompletionLatch, MultithreadedCountdownReleasesWaiter) {
 
 // --- stealing thread pool ----------------------------------------------------
 
-TEST(WorkStealing, ModeKnobsSelectSubstrate) {
-  p::thread_pool stealing(2, p::queue_mode::stealing);
-  p::thread_pool central(2, p::queue_mode::central);
-  EXPECT_EQ(stealing.mode(), p::queue_mode::stealing);
-  EXPECT_EQ(central.mode(), p::queue_mode::central);
-  EXPECT_GT(stealing.max_lanes(), stealing.size());
-  EXPECT_EQ(central.max_lanes(), central.size() + 1);
-  // Lane identity is a stealing-substrate concept.
-  EXPECT_EQ(central.lane_id(), p::thread_pool::no_lane);
-  EXPECT_EQ(central.register_external_lane(), p::thread_pool::no_lane);
-}
-
 TEST(WorkStealing, ExternalLaneRegistrationIsStable) {
-  p::thread_pool pool(2, p::queue_mode::stealing);
+  p::thread_pool pool(2);
   std::size_t const lane = pool.register_external_lane();
   ASSERT_NE(lane, p::thread_pool::no_lane);
   EXPECT_GE(lane, pool.size());       // external slots live above the workers
@@ -346,15 +268,63 @@ TEST(WorkStealing, ExternalLaneRegistrationIsStable) {
 }
 
 TEST(WorkStealing, ZeroThreadsNormalizedToOneInBothModes) {
-  for (auto mode : {p::queue_mode::stealing, p::queue_mode::central}) {
-    p::thread_pool pool(0, mode);
-    EXPECT_EQ(pool.size(), 1u);
-    std::atomic<int> ran{0};
-    pool.run_blocked(10, [&ran](std::size_t lo, std::size_t hi) {
-      ran.fetch_add(static_cast<int>(hi - lo));
+  // Both completion models — bulk-synchronous run_blocked and
+  // fire-and-forget submit + wait_idle — run on the one normalized worker.
+  p::thread_pool pool(0);
+  EXPECT_EQ(pool.size(), 1u);
+  std::atomic<int> ran{0};
+  pool.run_blocked(10, [&ran](std::size_t lo, std::size_t hi) {
+    ran.fetch_add(static_cast<int>(hi - lo));
+  });
+  EXPECT_EQ(ran.load(), 10);
+  for (int i = 0; i < 10; ++i)
+    pool.submit([&ran] { ran.fetch_add(1); });
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 20);
+}
+
+TEST(WorkStealing, ExternalLaneSlotsReturnWhenThreadsExit) {
+  // Short-lived threads (engine runners, standing-query threads, loaders)
+  // each claim an external lane on their first run_blocked.  The slot must
+  // return when the thread exits; otherwise, once every slot has been used
+  // once, each new caller's chunks go through the locked injector.
+  p::thread_pool pool(4);
+  std::size_t const slots = pool.max_lanes() - pool.size();
+  ASSERT_GT(slots, 0u);
+  for (std::size_t t = 0; t < slots + 8; ++t)
+    std::thread([&pool, t] {
+      std::atomic<std::size_t> covered{0};
+      pool.run_blocked(1000, [&covered](std::size_t lo, std::size_t hi) {
+        covered.fetch_add(hi - lo);
+      });
+      EXPECT_EQ(covered.load(), 1000u);
+      EXPECT_NE(pool.lane_id(), p::thread_pool::no_lane) << "thread " << t;
+    }).join();
+  std::size_t lane = p::thread_pool::no_lane;
+  std::thread([&] { lane = pool.register_external_lane(); }).join();
+  EXPECT_NE(lane, p::thread_pool::no_lane);
+}
+
+TEST(WorkStealing, ExternalLaneHolderMayOutliveItsPool) {
+  // A thread that exits after the pool holding its lane was destroyed
+  // must release nothing of the dead pool (ASan/TSan would flag it).
+  std::atomic<bool> claimed{false};
+  std::atomic<bool> pool_gone{false};
+  std::thread holder;
+  {
+    p::thread_pool pool(2);
+    holder = std::thread([&pool, &claimed, &pool_gone] {
+      EXPECT_NE(pool.register_external_lane(), p::thread_pool::no_lane);
+      pool.run_blocked(64, [](std::size_t, std::size_t) {});
+      claimed.store(true);
+      while (!pool_gone.load())
+        std::this_thread::yield();
     });
-    EXPECT_EQ(ran.load(), 10);
+    while (!claimed.load())
+      std::this_thread::yield();
   }
+  pool_gone.store(true);
+  holder.join();
 }
 
 // Ops-conservation storm at the pool level: tasks submitted from outside
@@ -364,7 +334,7 @@ TEST(WorkStealing, SubmitStormConservesEveryTask) {
   constexpr int roots = 500;
   constexpr int children_per_root = 7;
   constexpr int total = roots * (1 + children_per_root);
-  p::thread_pool pool(8, p::queue_mode::stealing);
+  p::thread_pool pool(8);
   std::vector<std::atomic<int>> hits(total);
   for (int r = 0; r < roots; ++r)
     pool.submit([&, r] {
@@ -385,7 +355,7 @@ TEST(WorkStealing, BurstSubmitFromSingleWorkerGrowsItsDeque) {
   // One worker burst-submits far past the deque's initial capacity from
   // inside a task, forcing the owner-side growth path while seven peers
   // steal from the same ring.
-  p::thread_pool pool(8, p::queue_mode::stealing);
+  p::thread_pool pool(8);
   constexpr int burst = 5'000;
   std::vector<std::atomic<int>> hits(burst);
   std::atomic<int> done{0};
@@ -406,7 +376,7 @@ TEST(WorkStealing, RunBlockedFromWorkerReentrancy) {
   // run_blocked nested two deep, launched from worker tasks: the inner
   // call must push to the worker's own lane and help drain it — a central
   // dependency of the enactor (operators call run_blocked from jobs).
-  p::thread_pool pool(4, p::queue_mode::stealing);
+  p::thread_pool pool(4);
   constexpr int jobs = 16;
   constexpr std::size_t n = 512;
   std::vector<std::atomic<int>> hits(jobs * n);
@@ -433,7 +403,7 @@ TEST(WorkStealing, RunBlockedFromWorkerReentrancy) {
 TEST(WorkStealing, ConcurrentExternalRunBlockedCallers) {
   // Four external threads each claim a lane and drive supersteps on the
   // same pool concurrently — the engine-runner topology.
-  p::thread_pool pool(4, p::queue_mode::stealing);
+  p::thread_pool pool(4);
   constexpr int callers = 4;
   constexpr int rounds = 100;
   constexpr std::size_t n = 777;
@@ -461,7 +431,7 @@ TEST(WorkStealing, ConcurrentExternalRunBlockedCallers) {
 // off every queue and is *running*; wait_idle must not return until it
 // finished and its captured state was destroyed.
 TEST(WorkStealing, WaitIdleCannotReturnWhileStolenTaskStillRuns) {
-  p::thread_pool pool(2, p::queue_mode::stealing);
+  p::thread_pool pool(2);
   std::atomic<bool> started{false};
   std::atomic<bool> release{false};
   std::atomic<bool> body_finished{false};
@@ -496,95 +466,86 @@ TEST(WorkStealing, WaitIdleCannotReturnWhileStolenTaskStillRuns) {
   EXPECT_TRUE(wait_idle_ok.load());
 }
 
-TEST(WorkStealing, UrgentClassJumpsWorkerDequesAndInjector) {
-  // Mirror of ThreadPool.UrgentTasksJumpTheQueue, pinned to the stealing
-  // substrate: urgency must survive decentralized queues.
-  p::thread_pool pool(1, p::queue_mode::stealing);
-  std::mutex m;
-  std::vector<int> order;
-  std::atomic<bool> release{false};
-  pool.submit([&] {
-    while (!release.load())
-      std::this_thread::yield();
-  });
-  for (int i = 0; i < 3; ++i)
-    pool.submit([&, i] {
-      std::lock_guard<std::mutex> g(m);
-      order.push_back(i);
-    });
-  pool.submit_urgent([&] {
-    std::lock_guard<std::mutex> g(m);
-    order.push_back(99);
-  });
-  release.store(true);
-  pool.wait_idle();
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order[0], 99);
-  EXPECT_EQ((std::vector<int>{order[1], order[2], order[3]}),
-            (std::vector<int>{0, 1, 2}));
-}
-
-TEST(WorkStealing, DiscardPendingDrainsWorkerDeques) {
-  // Children submitted from inside the (single) worker sit in that
-  // worker's own deque — discard_pending must reach in and drain them.
-  p::thread_pool pool(1, p::queue_mode::stealing);
-  std::atomic<bool> queued{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> children_ran{0};
-  pool.submit([&] {
-    for (int i = 0; i < 8; ++i)
-      pool.submit([&] { children_ran.fetch_add(1); });
-    queued.store(true);
-    while (!release.load())
-      std::this_thread::yield();
-  });
-  while (!queued.load())
-    std::this_thread::yield();
-  std::size_t const discarded = pool.discard_pending();
-  release.store(true);
-  pool.wait_idle();  // must not wedge: discarded slots were released
-  EXPECT_EQ(discarded, 8u);
-  EXPECT_EQ(children_ran.load(), 0);
-}
-
-TEST(WorkStealing, RunBlockedMatchesCentralChunking) {
-  // The deterministic chunking contract, cross-substrate: identical chunk
-  // boundaries for identical (n, grain, size()), and bulk_step agrees.
-  p::thread_pool stealing(3, p::queue_mode::stealing);
-  p::thread_pool central(3, p::queue_mode::central);
+TEST(WorkStealing, RunBlockedChunksFollowBulkStep) {
+  // The deterministic chunking contract: chunk c covers
+  // [c * step, min(n, (c + 1) * step)) with step = bulk_step(n, grain),
+  // whichever lane runs it; the chunk count never exceeds ceil(n / grain)
+  // nor 4 * (size() + 1).
+  p::thread_pool pool(3);
   for (std::size_t n : {1u, 7u, 100u, 1777u, 65536u}) {
     for (std::size_t grain : {1u, 16u, 256u}) {
-      ASSERT_EQ(stealing.bulk_step(n, grain), central.bulk_step(n, grain));
-      auto collect = [n, grain](p::thread_pool& pool) {
-        std::vector<std::pair<std::size_t, std::size_t>> chunks;
-        std::mutex m;
-        pool.run_blocked(
-            n,
-            [&](std::size_t lo, std::size_t hi) {
-              std::lock_guard<std::mutex> g(m);
-              chunks.emplace_back(lo, hi);
-            },
-            grain);
-        std::sort(chunks.begin(), chunks.end());
-        return chunks;
-      };
-      ASSERT_EQ(collect(stealing), collect(central))
-          << "n=" << n << " grain=" << grain;
+      std::size_t const step = pool.bulk_step(n, grain);
+      std::vector<std::pair<std::size_t, std::size_t>> want;
+      for (std::size_t lo = 0; lo < n; lo += step)
+        want.emplace_back(lo, std::min(n, lo + step));
+      EXPECT_LE(want.size(), 4 * (pool.size() + 1));
+      EXPECT_LE(want.size(), (n + grain - 1) / grain);
+      std::vector<std::pair<std::size_t, std::size_t>> got;
+      std::mutex m;
+      pool.run_blocked(
+          n,
+          [&](std::size_t lo, std::size_t hi) {
+            std::lock_guard<std::mutex> g(m);
+            got.emplace_back(lo, hi);
+          },
+          grain);
+      std::sort(got.begin(), got.end());
+      ASSERT_EQ(got, want) << "n=" << n << " grain=" << grain;
     }
   }
 }
 
-// --- tiered (topology-aware) steal order -------------------------------------
+TEST(WorkStealing, RunBlockedMatchesCentralChunking) {
+  // The chunking contract on both of run_blocked's queues: a caller with a
+  // lane pushes its chunks onto its lane deque, a caller that cannot claim
+  // one onto the pool's central locked injector.  Chunk boundaries are
+  // identical for identical (n, grain, size()).
+  p::thread_pool deques(3);
+  p::thread_pool central(3);
+  essentials::test_support::external_lanes_held const held(central);
+  auto collect = [](p::thread_pool& pool, std::size_t n, std::size_t grain) {
+    std::vector<std::pair<std::size_t, std::size_t>> chunks;
+    std::mutex m;
+    pool.run_blocked(
+        n,
+        [&](std::size_t lo, std::size_t hi) {
+          std::lock_guard<std::mutex> g(m);
+          chunks.emplace_back(lo, hi);
+        },
+        grain);
+    std::sort(chunks.begin(), chunks.end());
+    return chunks;
+  };
+  for (std::size_t n : {1u, 7u, 100u, 1777u, 65536u}) {
+    for (std::size_t grain : {1u, 16u, 256u}) {
+      ASSERT_EQ(deques.bulk_step(n, grain), central.bulk_step(n, grain));
+      ASSERT_EQ(collect(deques, n, grain), collect(central, n, grain))
+          << "n=" << n << " grain=" << grain;
+    }
+  }
+  EXPECT_EQ(deques.lane_id(), deques.size());  // claimed an external lane
+  EXPECT_EQ(central.lane_id(), p::thread_pool::no_lane);
+}
 
-// The conservation storm, pinned to the tiered sweep: same-core, then
-// same-socket, then remote victims.  On flat hardware the tiers collapse,
-// but the sweep code path is still the one exercised.
+// --- tiered steal sweep with every tier populated ---------------------------
+
+namespace {
+
+/// Twice as many workers as CPUs (clamped to 4..16).  With ESSENTIALS_NUMA
+/// on, the packing puts two workers on each CPU, so every worker has a
+/// same-core victim as well as same-socket ones and the full tiered sweep
+/// runs.  With it off, the flat topology puts every worker in one tier.
+std::size_t oversubscribed_workers() {
+  return std::clamp<std::size_t>(2 * p::system_topology().num_cpus(), 4, 16);
+}
+
+}  // namespace
+
 TEST(WorkStealing, TieredSubmitStormConservesEveryTask) {
   constexpr int roots = 500;
   constexpr int children_per_root = 7;
   constexpr int total = roots * (1 + children_per_root);
-  p::thread_pool pool(8, p::queue_mode::stealing, p::steal_order::tiered);
-  ASSERT_EQ(pool.order(), p::steal_order::tiered);
+  p::thread_pool pool(oversubscribed_workers());
   std::vector<std::atomic<int>> hits(total);
   for (int r = 0; r < roots; ++r)
     pool.submit([&, r] {
@@ -602,7 +563,7 @@ TEST(WorkStealing, TieredSubmitStormConservesEveryTask) {
 }
 
 TEST(WorkStealing, TieredRunBlockedFromWorkerReentrancy) {
-  p::thread_pool pool(4, p::queue_mode::stealing, p::steal_order::tiered);
+  p::thread_pool pool(oversubscribed_workers());
   constexpr int jobs = 16;
   constexpr std::size_t n = 512;
   std::vector<std::atomic<int>> hits(jobs * n);
@@ -625,7 +586,7 @@ TEST(WorkStealing, TieredRunBlockedFromWorkerReentrancy) {
 }
 
 TEST(WorkStealing, TieredExternalLaneCallersDriveSuperstepsConcurrently) {
-  p::thread_pool pool(4, p::queue_mode::stealing, p::steal_order::tiered);
+  p::thread_pool pool(oversubscribed_workers());
   constexpr int callers = 4;
   constexpr int rounds = 100;
   constexpr std::size_t n = 777;
@@ -649,33 +610,6 @@ TEST(WorkStealing, TieredExternalLaneCallersDriveSuperstepsConcurrently) {
             static_cast<long long>(callers) * rounds * n);
 }
 
-TEST(WorkStealing, TieredChunkingMatchesFlatChunking) {
-  // The deterministic chunking contract holds across steal orders too —
-  // the basis of the NUMA-on == NUMA-off differential suite.
-  p::thread_pool tiered(3, p::queue_mode::stealing, p::steal_order::tiered);
-  p::thread_pool flat(3, p::queue_mode::stealing, p::steal_order::flat);
-  for (std::size_t n : {1u, 7u, 100u, 1777u, 65536u}) {
-    for (std::size_t grain : {1u, 16u, 256u}) {
-      ASSERT_EQ(tiered.bulk_step(n, grain), flat.bulk_step(n, grain));
-      auto collect = [n, grain](p::thread_pool& pool) {
-        std::vector<std::pair<std::size_t, std::size_t>> chunks;
-        std::mutex m;
-        pool.run_blocked(
-            n,
-            [&](std::size_t lo, std::size_t hi) {
-              std::lock_guard<std::mutex> g(m);
-              chunks.emplace_back(lo, hi);
-            },
-            grain);
-        std::sort(chunks.begin(), chunks.end());
-        return chunks;
-      };
-      ASSERT_EQ(collect(tiered), collect(flat))
-          << "n=" << n << " grain=" << grain;
-    }
-  }
-}
-
 // --- steal-order seeding (ESSENTIALS_STEAL_SEED) -----------------------------
 
 TEST(WorkStealing, StealSeedIsReadPerCall) {
@@ -697,7 +631,7 @@ TEST(WorkStealing, SeededPoolStillConservesTasks) {
   // unchanged — the knob only pins the interleaving.
   setenv("ESSENTIALS_STEAL_SEED", "42", 1);
   {
-    p::thread_pool pool(4, p::queue_mode::stealing, p::steal_order::tiered);
+    p::thread_pool pool(4);
     constexpr int total = 2000;
     std::vector<std::atomic<int>> hits(total);
     for (int i = 0; i < total; ++i)
@@ -715,7 +649,7 @@ TEST(WorkStealing, PoolChurnShutsDownCleanly) {
   // Create/destroy many pools with in-flight work: the destructor must run
   // the backlog to completion and never strand a heap task.
   for (int round = 0; round < 40; ++round) {
-    p::thread_pool pool(2, p::queue_mode::stealing);
+    p::thread_pool pool(2);
     std::atomic<int> ran{0};
     for (int i = 0; i < 32; ++i)
       pool.submit([&ran] { ran.fetch_add(1); });
