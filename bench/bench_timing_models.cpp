@@ -9,7 +9,6 @@
 
 #include "algorithms/sssp.hpp"
 #include "algorithms/sssp_async_mp.hpp"
-#include "algorithms/sssp_hybrid.hpp"
 #include "essentials.hpp"
 
 namespace e = essentials;
@@ -108,7 +107,7 @@ void BM_SsspHybridHierarchical(benchmark::State& state) {
   // 2 shared-memory threads inside each.
   auto const& g = graphs().get(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto const r = e::algorithms::sssp_hybrid(g, 0, 2, 2);
+    auto const r = e::algorithms::sssp_message_passing(g, 0, 2, {}, 2);
     benchmark::DoNotOptimize(r.distances.data());
   }
   state.SetLabel(std::string(family_name(static_cast<int>(state.range(0)))) +

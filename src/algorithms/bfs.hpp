@@ -2,7 +2,9 @@
 
 /// \file algorithms/bfs.hpp
 /// \brief Breadth-first search: push, pull, direction-optimizing, async
-/// queue, and message-passing variants, plus the serial oracle.
+/// queue, and message-passing variants, plus the serial oracle.  The async
+/// and message-passing variants are hop counts on the min-plus program of
+/// algorithms/relax.hpp (unit cost); the BSP ones claim vertices instead.
 ///
 /// BFS is the paper's cleanest showcase for the push-vs-pull pillar
 /// (§III-C): push scans out-edges of the frontier (work ∝ frontier edges),
@@ -18,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "algorithms/relax.hpp"
 #include "core/enactor.hpp"
 #include "core/execution.hpp"
 #include "core/frontier/frontier.hpp"
@@ -25,9 +28,7 @@
 #include "core/operators/advance_balanced.hpp"
 #include "core/telemetry.hpp"
 #include "core/types.hpp"
-#include "mpsim/communicator.hpp"
 #include "parallel/atomic_bitset.hpp"
-#include "parallel/atomics.hpp"
 
 namespace essentials::algorithms {
 
@@ -256,147 +257,69 @@ bfs_result<typename G::vertex_type> bfs_direction_optimizing(
 }
 
 // ---------------------------------------------------------------------------
-// Asynchronous (queue frontier)
+// Asynchronous and message-passing (unit-cost relaxation)
 // ---------------------------------------------------------------------------
 
-/// Asynchronous BFS: consumers pop vertices and claim their neighbors with
-/// an atomic-min on the depth array.  Without supersteps, "depth" loses its
-/// strict level meaning during the run, but the atomic-min relaxation makes
-/// the fixed point identical to BSP BFS depths on termination (it is SSSP
-/// with unit weights over an integer lattice).
+namespace detail {
+
+/// Hop counts on the min-plus lattice (infinity_v == unreached) from
+/// `source` at 0 — BFS depth as SSSP with unit costs.
+template <typename G>
+std::vector<typename G::vertex_type> make_hops(
+    G const& g, typename G::vertex_type source, char const* who) {
+  using V = typename G::vertex_type;
+  expects(source >= 0 && source < g.get_num_vertices(), who);
+  std::vector<V> hops(static_cast<std::size_t>(g.get_num_vertices()),
+                      infinity_v<V>);
+  hops[static_cast<std::size_t>(source)] = V{0};
+  return hops;
+}
+
+/// Depths from hop counts (-1 == unreached).  Parents are not tracked on
+/// the hop lattice (that would need a second CAS); depths are the contract.
+template <typename V>
+bfs_result<V> depths_from_hops(std::vector<V> hops) {
+  bfs_result<V> r;
+  for (V& d : hops)
+    if (d == infinity_v<V>)
+      d = V{-1};
+  r.parents.assign(hops.size(), V{-1});
+  r.depths = std::move(hops);
+  return r;
+}
+
+}  // namespace detail
+
+/// Asynchronous BFS: `relax_async` with unit costs.  Without supersteps,
+/// "depth" loses its strict level meaning during the run, but the
+/// atomic-min relaxation makes the fixed point identical to BSP BFS depths
+/// on termination (it is SSSP with unit weights over an integer lattice).
 template <typename G>
 bfs_result<typename G::vertex_type> bfs_async(G const& g,
                                               typename G::vertex_type source,
                                               std::size_t workers = 4) {
   using V = typename G::vertex_type;
-  auto result =
-      detail::make_bfs_state(g, source, "bfs_async: source out of range");
-  std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
-  // Use max() as "unreached" so atomic::min works monotonically.
-  std::vector<V> depth(n, std::numeric_limits<V>::max());
-  depth[static_cast<std::size_t>(source)] = V{0};
-  V* const d = depth.data();
-
-  frontier::async_queue_frontier<V> f;
-  f.add_vertex(source);
-  enactor::async_loop(f, workers, [&g, d, &f](V const v) {
-    V const d_v = atomic::load(&d[v]);
-    if (d_v == std::numeric_limits<V>::max())
-      return;
-    for (auto const e : g.get_edges(v)) {
-      V const nb = g.get_dest_vertex(e);
-      V const nd = static_cast<V>(d_v + 1);
-      if (nd < atomic::min(&d[nb], nd))
-        f.add_vertex(nb);
-    }
-  });
-
-  for (std::size_t v = 0; v < n; ++v)
-    result.depths[v] =
-        depth[v] == std::numeric_limits<V>::max() ? V{-1} : depth[v];
-  // Parents are not tracked in the async variant (would need a second CAS);
-  // depths are the contract.
-  return result;
+  auto hops = detail::make_hops(g, source, "bfs_async: source out of range");
+  relax_async<constant_cost<V{1}>>(g, source, hops.data(), workers);
+  return detail::depths_from_hops(std::move(hops));
 }
 
-// ---------------------------------------------------------------------------
-// Message passing (distributed frontier)
-// ---------------------------------------------------------------------------
-
-/// Message-passing BFS built directly on the distributed frontier: each
-/// rank owns vertices by `owner` (default v mod P), expands its local
-/// slice, and lets `exchange()` route discovered vertices to their owners.
-/// Demonstrates that the Listing 4 loop shape survives the communication
-/// model swap: seed, expand, exchange, test global emptiness.
+/// Message-passing BFS: `relax_message_passing` with unit costs — each
+/// rank owns vertices by `owner` (default v mod P), expands its slice, and
+/// the distributed frontier routes (vertex, depth) words to their owners.
+/// Listing 4's loop shape survives the communication model swap: seed,
+/// expand, exchange, test global emptiness — one exchange per level.
 template <typename G>
 bfs_result<typename G::vertex_type> bfs_message_passing(
     G const& g, typename G::vertex_type source, int num_ranks = 4,
     std::function<int(typename G::vertex_type)> owner = {}) {
   using V = typename G::vertex_type;
-  expects(source >= 0 && source < g.get_num_vertices(),
-          "bfs_message_passing: source out of range");
-  if (!owner)
-    owner = [num_ranks](V v) { return static_cast<int>(v % num_ranks); };
-
-  std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
-  bfs_result<V> result;
-  result.depths.assign(n, V{-1});
-  result.parents.assign(n, V{-1});
-  std::size_t iterations = 0;
-
-  constexpr int kTagGather = 1 << 20;
-
-  mpsim::communicator::run(num_ranks, [&](mpsim::communicator& comm, int rank) {
-    std::vector<V> depth(n, V{-1});
-    frontier::distributed_frontier<V> f(comm, rank, owner);
-    if (owner(source) == rank)
-      depth[static_cast<std::size_t>(source)] = V{0};
-    f.add_vertex(source);  // remote adds are buffered; owner keeps it local
-
-    int superstep = 0;
-    V level = 0;  // BFS level of the current local set (each level costs two
-                  // exchanges: expansion + owner-side dedupe)
-    // Promote the seed into the current set (superstep tag 0).
-    std::size_t global = f.exchange(superstep++);
-    while (global != 0) {
-      for (V const v : f.local()) {
-        if (depth[static_cast<std::size_t>(v)] == V{-1})
-          depth[static_cast<std::size_t>(v)] = level;
-      }
-      for (V const v : f.local()) {
-        for (auto const e : g.get_edges(v)) {
-          V const nb = g.get_dest_vertex(e);
-          // Only the owner knows nb's visited state; optimistically forward
-          // and let the owner drop revisits next superstep.
-          if (owner(nb) != rank || depth[static_cast<std::size_t>(nb)] == V{-1})
-            f.add_vertex(nb);
-        }
-      }
-      global = f.exchange(superstep++);
-      // Drop already-visited vertices from the received set (dedupe at the
-      // owner — the message-passing analogue of the visited bitmap).
-      if (global != 0) {
-        std::vector<V> fresh;
-        for (V const v : f.local())
-          if (depth[static_cast<std::size_t>(v)] == V{-1})
-            fresh.push_back(v);
-        std::sort(fresh.begin(), fresh.end());
-        fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
-        // Replace the local set with the deduplicated fresh vertices and
-        // re-reduce the global count so every rank agrees on emptiness.
-        f.clear();
-        for (V const v : fresh)
-          f.add_vertex(v);
-        global = f.exchange(superstep++);
-      }
-      ++level;
-    }
-
-    // Gather depths at rank 0.
-    std::vector<std::uint64_t> mine;
-    for (std::size_t v = 0; v < n; ++v)
-      if (owner(static_cast<V>(v)) == rank && depth[v] != V{-1})
-        mine.push_back((static_cast<std::uint64_t>(v) << 32) |
-                       static_cast<std::uint32_t>(depth[v]));
-    if (rank == 0) {
-      for (std::uint64_t const w : mine)
-        result.depths[static_cast<std::size_t>(w >> 32)] =
-            static_cast<V>(static_cast<std::uint32_t>(w));
-      for (int i = 0; i < comm.size() - 1; ++i) {
-        mpsim::message_t msg;
-        if (!comm.recv(0, kTagGather, msg))
-          return;
-        for (std::uint64_t const w : msg.payload)
-          result.depths[static_cast<std::size_t>(w >> 32)] =
-              static_cast<V>(static_cast<std::uint32_t>(w));
-      }
-      iterations = static_cast<std::size_t>(level);
-    } else {
-      comm.send(rank, 0, kTagGather, std::move(mine));
-    }
-  });
-
-  result.iterations = iterations;
+  auto hops =
+      detail::make_hops(g, source, "bfs_message_passing: source out of range");
+  std::size_t const levels = relax_message_passing<constant_cost<V{1}>>(
+      g, source, num_ranks, std::move(owner), /*threads_per_rank=*/1, hops);
+  auto result = detail::depths_from_hops(std::move(hops));
+  result.iterations = levels;
   return result;
 }
 

@@ -11,14 +11,11 @@
 #include <numeric>
 #include <vector>
 
-#include "core/enactor.hpp"
+#include "algorithms/relax.hpp"
 #include "core/execution.hpp"
-#include "core/frontier/frontier.hpp"
-#include "core/operators/advance.hpp"
-#include "core/operators/compute.hpp"
-#include "core/operators/filter.hpp"
 #include "core/types.hpp"
 #include "parallel/atomics.hpp"
+#include "parallel/for_each.hpp"
 
 namespace essentials::algorithms {
 
@@ -41,45 +38,24 @@ std::size_t count_components(std::vector<V> const& labels) {
 
 }  // namespace detail
 
-/// Label propagation: every vertex starts with its own id; active vertices
-/// push their label along edges with atomic-min; vertices whose label
-/// improved join the next frontier.  Pure operators + enactor — the
+/// Label propagation: every vertex starts active, labelled with its own
+/// id; labels spread along edges by atomic-min, and vertices whose label
+/// improved join the next frontier — `relax_bsp` with zero cost, the
 /// "algorithm as frontier program" formulation.
 template <typename P, typename G>
   requires execution::synchronous_policy<P>
 cc_result<typename G::vertex_type> connected_components(P policy,
                                                         G const& g) {
   using V = typename G::vertex_type;
-  using E = typename G::edge_type;
-  using W = typename G::weight_type;
   std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
   cc_result<V> result;
   result.labels.resize(n);
   std::iota(result.labels.begin(), result.labels.end(), V{0});
-  V* const labels = result.labels.data();
 
-  // All vertices start active.
-  std::vector<V> all(n);
-  std::iota(all.begin(), all.end(), V{0});
-  frontier::sparse_frontier<V> f(std::move(all));
-
-  auto const stats = enactor::bsp_loop(
-      std::move(f),
-      [&](frontier::sparse_frontier<V> in, std::size_t /*iteration*/) {
-        auto out = operators::neighbors_expand(
-            policy, g, in,
-            [labels](V const src, V const dst, E const, W const) {
-              V const l = atomic::load(&labels[src]);
-              return l < atomic::min(&labels[dst], l);
-            });
-        if constexpr (std::decay_t<P>::is_parallel)
-          operators::uniquify(policy, out, n);
-        else
-          operators::uniquify(policy, out);
-        return out;
-      },
-      enactor::frontier_empty{});
-
+  // Every vertex is a seed, and the initial labels are the vertex ids.
+  auto const stats =
+      relax_bsp(policy, g, result.labels,
+                min_plus_condition<constant_cost<V{0}>>(result.labels.data()));
   result.iterations = stats.iterations;
   result.num_components = detail::count_components(result.labels);
   return result;
@@ -133,12 +109,17 @@ cc_result<typename G::vertex_type> connected_components_hook(P policy,
     }
     changed = any[0] != 0;
 
-    // Pointer jumping: flatten every chain to its root.
+    // Pointer jumping: flatten every chain to its root.  Other lanes are
+    // flattening the same chains concurrently, so every access is atomic
+    // (any value read is an ancestor, so the walk still ends at the root).
+    auto const parent_of = [parent](V v) {
+      return atomic::load(&parent[static_cast<std::size_t>(v)]);
+    };
     auto const jump_body = [&](std::size_t vi) {
-      V p = parent[vi];
-      while (p != parent[static_cast<std::size_t>(p)])
-        p = parent[static_cast<std::size_t>(p)];
-      parent[vi] = p;
+      V p = parent_of(static_cast<V>(vi));
+      while (p != parent_of(p))
+        p = parent_of(p);
+      atomic::store(&parent[vi], p);
     };
     if constexpr (std::decay_t<P>::is_parallel) {
       parallel::parallel_for(policy.pool(), std::size_t{0}, n, jump_body,

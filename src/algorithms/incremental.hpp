@@ -12,6 +12,8 @@
 /// full source frontier re-derives everything; seeding the frontier from
 /// the delta's source endpoints instead re-derives only the cone the new
 /// edges actually improve — usually a few supersteps over a few vertices.
+/// Warm and cold runs are the same loop, `relax_bsp` (algorithms/relax.hpp),
+/// with different seeds, so both honour `policy.balance` alike.
 ///
 /// Correctness argument (the reason warm results are bit-identical to
 /// cold): seed the frontier with every delta-record source endpoint whose
@@ -52,12 +54,9 @@
 
 #include "algorithms/bfs.hpp"
 #include "algorithms/connected_components.hpp"
+#include "algorithms/relax.hpp"
 #include "algorithms/sssp.hpp"
-#include "core/enactor.hpp"
 #include "core/execution.hpp"
-#include "core/frontier/frontier.hpp"
-#include "core/operators/advance.hpp"
-#include "core/operators/filter.hpp"
 #include "core/types.hpp"
 #include "graph/delta.hpp"
 #include "parallel/atomics.hpp"
@@ -127,7 +126,6 @@ sssp_result<typename G::weight_type> sssp_incremental(
                         typename G::weight_type> const& delta,
     incremental_outcome* outcome = nullptr) {
   using V = typename G::vertex_type;
-  using E = typename G::edge_type;
   using W = typename G::weight_type;
   std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
 
@@ -145,34 +143,12 @@ sssp_result<typename G::weight_type> sssp_incremental(
   sssp_result<W> result;
   result.distances = prev.distances;  // valid upper bounds after inserts
   W* const dist = result.distances.data();
-
-  frontier::sparse_frontier<V> f(detail::delta_seeds(
-      delta, n, /*both_endpoints=*/false,
-      [dist](V v) { return dist[v] != infinity_v<W>; }));
-
-  auto const stats = enactor::bsp_loop(
-      std::move(f),
-      [&](frontier::sparse_frontier<V> in, std::size_t /*iteration*/) {
-        // Listing 4's relaxation, unchanged — only the seed differs.  The
-        // source read goes through atomic::load because this suite runs in
-        // the TSAN matrix: dist[src] may be concurrently improved by a
-        // relaxation racing on the same word (a stale read only costs a
-        // re-relaxation, never correctness).
-        auto out = operators::neighbors_expand(
-            policy, g, in,
-            [dist](V const src, V const dst, E const /*edge*/,
-                   W const weight) {
-              W const new_d = atomic::load(&dist[src]) + weight;
-              W const curr_d = atomic::min(&dist[dst], new_d);
-              return new_d < curr_d;
-            });
-        if constexpr (std::decay_t<P>::is_parallel)
-          operators::uniquify(policy, out, n);
-        else
-          operators::uniquify(policy, out);
-        return out;
-      },
-      enactor::frontier_empty{});
+  // Listing 4's relaxation, unchanged — only the seed differs.
+  auto const stats = relax_bsp(
+      policy, g,
+      detail::delta_seeds(delta, n, /*both_endpoints=*/false,
+                          [dist](V v) { return dist[v] != infinity_v<W>; }),
+      min_plus_condition(dist));
   result.iterations = stats.iterations;
   detail::note_outcome(outcome, true, delta.size(), stats.iterations,
                        prev.iterations);
@@ -231,40 +207,31 @@ bfs_result<typename G::vertex_type> bfs_incremental(
   }
   std::uint64_t* const w = words.data();
 
-  frontier::sparse_frontier<V> f(detail::delta_seeds(
-      delta, n, /*both_endpoints=*/false, [&prev](V v) {
-        return prev.depths[static_cast<std::size_t>(v)] != V{-1};
-      }));
-
-  auto const stats = enactor::bsp_loop(
-      std::move(f),
-      [&](frontier::sparse_frontier<V> in, std::size_t /*iteration*/) {
-        auto out = operators::neighbors_expand(
-            policy, g, in,
-            [w, depth_of, pack](V const src, V const dst, E const /*e*/,
-                                W const /*weight*/) {
-              std::uint32_t const ds = depth_of(atomic::load(&w[src]));
-              if (ds == kUnset)
-                return false;
-              std::uint32_t const nd = ds + 1;
-              std::uint64_t cur = atomic::load(&w[dst]);
-              while (nd < depth_of(cur)) {
-                std::uint64_t const observed = atomic::cas(
-                    &w[dst], cur,
-                    pack(nd, static_cast<std::uint32_t>(src)));
-                if (observed == cur)
-                  return true;  // we improved (depth, parent) atomically
-                cur = observed;
-              }
-              return false;
-            });
-        if constexpr (std::decay_t<P>::is_parallel)
-          operators::uniquify(policy, out, n);
-        else
-          operators::uniquify(policy, out);
-        return out;
-      },
-      enactor::frontier_empty{});
+  // Relax (depth, parent) as one packed word, so a parent's converged
+  // depth is always exactly one less than its child's.
+  auto const stats = relax_bsp(
+      policy, g,
+      detail::delta_seeds(delta, n, /*both_endpoints=*/false,
+                          [&prev](V v) {
+                            return prev.depths[static_cast<std::size_t>(v)] !=
+                                   V{-1};
+                          }),
+      [w, depth_of, pack](V const src, V const dst, E const /*e*/,
+                          W const /*weight*/) {
+        std::uint32_t const ds = depth_of(atomic::load(&w[src]));
+        if (ds == kUnset)
+          return false;
+        std::uint32_t const nd = ds + 1;
+        std::uint64_t cur = atomic::load(&w[dst]);
+        while (nd < depth_of(cur)) {
+          std::uint64_t const observed = atomic::cas(
+              &w[dst], cur, pack(nd, static_cast<std::uint32_t>(src)));
+          if (observed == cur)
+            return true;  // we improved (depth, parent) atomically
+          cur = observed;
+        }
+        return false;
+      });
 
   bfs_result<V> result;
   result.depths.resize(n);
@@ -303,8 +270,6 @@ cc_result<typename G::vertex_type> connected_components_incremental(
                         typename G::weight_type> const& delta,
     incremental_outcome* outcome = nullptr) {
   using V = typename G::vertex_type;
-  using E = typename G::edge_type;
-  using W = typename G::weight_type;
   std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
 
   bool const warmable =
@@ -318,27 +283,12 @@ cc_result<typename G::vertex_type> connected_components_incremental(
 
   cc_result<V> result;
   result.labels = prev.labels;
-  V* const labels = result.labels.data();
 
-  frontier::sparse_frontier<V> f(detail::delta_seeds(
-      delta, n, /*both_endpoints=*/true, [](V) { return true; }));
-
-  auto const stats = enactor::bsp_loop(
-      std::move(f),
-      [&](frontier::sparse_frontier<V> in, std::size_t /*iteration*/) {
-        auto out = operators::neighbors_expand(
-            policy, g, in,
-            [labels](V const src, V const dst, E const /*e*/, W const) {
-              V const l = atomic::load(&labels[src]);
-              return l < atomic::min(&labels[dst], l);
-            });
-        if constexpr (std::decay_t<P>::is_parallel)
-          operators::uniquify(policy, out, n);
-        else
-          operators::uniquify(policy, out);
-        return out;
-      },
-      enactor::frontier_empty{});
+  auto const stats = relax_bsp(
+      policy, g,
+      detail::delta_seeds(delta, n, /*both_endpoints=*/true,
+                          [](V) { return true; }),
+      min_plus_condition<constant_cost<V{0}>>(result.labels.data()));
 
   result.iterations = stats.iterations;
   result.num_components = detail::count_components(result.labels);

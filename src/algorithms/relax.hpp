@@ -1,101 +1,322 @@
 #pragma once
 
 /// \file algorithms/relax.hpp
-/// \brief The SSSP family's single relaxation step, extracted once.
+/// \brief The min-plus vertex program and the three loops that enact it.
 ///
-/// Every shortest-path variant in the framework is built from the same
-/// primitive — "does candidate distance d improve dist[v], and if so,
-/// commit it" — but until PR 8 each variant carried its own copy:
-/// `sssp.hpp` (push BSP + async queue), `sssp_delta.hpp` (light/heavy
-/// banded waves), `sssp_async_mp.hpp` (rank-local relax-and-forward), and
-/// the serial baselines.  The residual engine (src/residual/) adds a
-/// delta-accumulative instantiation of the very same step, so this header
-/// is now the single home; the variants differ only in *which array* they
-/// relax into and *what they do when the relaxation wins*.
+/// SSSP, label-propagation CC and BFS hop counts are one vertex program:
+///
+///     value[dst] = min(value[dst], value[src] + cost(weight))
+///
+/// where the cost is the edge weight (SSSP), 0 (CC labels) or 1 (BFS
+/// hops).  This header holds the program once, as `min_plus_condition`,
+/// and one loop per timing/communication model of PAPER.md Table I:
+///  - `relax_bsp` — bulk-synchronous from a seed set: advance (load
+///    balanced per `policy.balance`), uniquify, repeat until the frontier
+///    is empty.  Cold runs seed the source (every vertex for CC); warm
+///    runs (algorithms/incremental.hpp) seed the delta's endpoints over
+///    the previous epoch's values.
+///  - `relax_async` — an asynchronous queue with no supersteps; workers
+///    relax popped vertices and queue what they improve until quiescence.
+///  - `relax_message_passing` — BSP across mpsim ranks: (vertex, value)
+///    words travel through `frontier::distributed_frontier`, each rank
+///    expanding its owned vertices sequentially or on a private pool.
+///
+/// Every SSSP, CC and BFS-depth variant in sssp.hpp, bfs.hpp,
+/// connected_components.hpp and incremental.hpp seeds one of these loops;
+/// the variants differ only in the seed, the cost and the value lattice.
 ///
 /// Two memory models, deliberately separate:
-///  - `relax_value` / `relax` — atomic (CAS-loop min via atomic::min) for
-///    state shared across lanes.  Listing 4's contract: the pre-update
-///    value is returned so the caller can tell whether *its* relaxation
-///    won.
-///  - `relax_plain` — plain write for single-owner state (rank-local
-///    distance arrays in the message-passing variants, serial oracles).
+///  - `relax` / `min_plus_condition` — atomic (CAS-loop min via
+///    atomic::min) for state shared across lanes;
+///  - `relax_plain` — plain write for single-owner state (the serial
+///    oracles, the Safra loop's rank-local arrays).
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
+#include "core/enactor.hpp"
+#include "core/execution.hpp"
+#include "core/frontier/frontier.hpp"
+#include "core/operators/advance_balanced.hpp"
+#include "core/operators/filter.hpp"
 #include "core/types.hpp"
+#include "mpsim/communicator.hpp"
 #include "parallel/atomics.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace essentials::algorithms {
 
-/// Atomic relaxation: dist[v] = min(dist[v], candidate); returns the value
-/// observed immediately before this call's update took effect (Listing 4's
-/// contract: `candidate < relax_value(...)` iff this thread improved it).
-template <typename W>
-inline W relax_value(W* dist, std::size_t v, W candidate) {
-  return atomic::min(&dist[v], candidate);
+// ---------------------------------------------------------------------------
+// The relaxation
+// ---------------------------------------------------------------------------
+
+/// Atomic relaxation: value[v] = min(value[v], candidate); true iff this
+/// call lowered it (Listing 4's `new_d < atomic::min(...)` contract).
+template <typename T>
+inline bool relax(T* value, std::size_t v, T candidate) {
+  return candidate < atomic::min(&value[v], candidate);
 }
 
-/// Atomic relaxation, boolean flavour: true iff this call improved dist[v].
-template <typename W>
-inline bool relax(W* dist, std::size_t v, W candidate) {
-  return candidate < relax_value(dist, v, candidate);
-}
-
-/// Single-owner relaxation (no atomics): rank-local distances in the
-/// message-passing variants, serial baselines.  True iff improved.
-template <typename W>
-inline bool relax_plain(W* dist, std::size_t v, W candidate) {
-  if (candidate < dist[v]) {
-    dist[v] = candidate;
+/// Single-owner relaxation (no atomics).  True iff improved.
+template <typename T>
+inline bool relax_plain(T* value, std::size_t v, T candidate) {
+  if (candidate < value[v]) {
+    value[v] = candidate;
     return true;
   }
   return false;
 }
 
-/// The Listing-4 edge condition, shared by `sssp` (push BSP) and the
-/// operator-matrix differential tests: snapshot the source distance with an
-/// atomic load (another lane may be improving dist[src] concurrently; a
-/// stale value only costs a re-relaxation, never correctness), relax the
-/// destination, keep the neighbor iff our relaxation won.
-template <typename W>
-inline auto make_relax_condition(W* dist) {
-  return [dist](auto const src, auto const dst, auto const /*edge*/,
-                W const weight) {
-    W const new_d = atomic::load(&dist[static_cast<std::size_t>(src)]) + weight;
-    return relax(dist, static_cast<std::size_t>(dst), new_d);
+/// Edge cost = the edge's weight (SSSP).
+struct weight_cost {
+  template <typename W>
+  constexpr W operator()(W weight) const noexcept {
+    return weight;
+  }
+};
+
+/// Edge cost = a compile-time constant: `constant_cost<V{0}>` propagates CC
+/// labels, `constant_cost<V{1}>` counts BFS hops.  A template constant
+/// rather than a captured value, so the relaxation folds it away.
+template <auto C>
+struct constant_cost {
+  template <typename W>
+  constexpr decltype(C) operator()(W /*weight*/) const noexcept {
+    return C;
+  }
+};
+
+/// The min-plus edge condition (Listing 4's lambda): snapshot value[src]
+/// with an atomic load (another lane may be lowering it; a stale value
+/// only costs a re-relaxation), atomic-min value[dst] with the candidate,
+/// and keep dst iff this call lowered it.  Costs are stateless so the
+/// condition carries nothing but the value array.
+template <typename Cost = weight_cost, typename T>
+inline auto min_plus_condition(T* value) {
+  static_assert(std::is_empty_v<Cost>, "cost functors must be stateless");
+  return [value](auto const src, auto const dst, auto const /*edge*/,
+                 auto const weight) {
+    T const candidate = static_cast<T>(
+        atomic::load(&value[static_cast<std::size_t>(src)]) + Cost{}(weight));
+    return relax(value, static_cast<std::size_t>(dst), candidate);
   };
 }
 
-/// Weight-banded variant for delta-stepping: only edges with weight in
-/// [lo, hi) participate (light waves pass [0, Δ), the heavy pass [Δ, ∞)).
+/// Weight-banded condition for delta-stepping: only edges with weight in
+/// [lo, hi) relax (light waves pass [0, Δ), the heavy pass [Δ, ∞)).
 template <typename W>
 inline auto make_banded_relax_condition(W* dist, W lo, W hi) {
-  return [dist, lo, hi](auto const src, auto const dst, auto const /*edge*/,
-                        W const weight) {
-    if (weight < lo || weight >= hi)
-      return false;
-    W const new_d = atomic::load(&dist[static_cast<std::size_t>(src)]) + weight;
-    return relax(dist, static_cast<std::size_t>(dst), new_d);
+  return [relax_edge = min_plus_condition(dist), lo, hi](
+             auto const src, auto const dst, auto const edge,
+             W const weight) {
+    return weight >= lo && weight < hi && relax_edge(src, dst, edge, weight);
   };
 }
 
-/// One asynchronous expansion: snapshot v's distance, relax every out-edge,
-/// and hand each *improved* neighbor to `emit` (queue push, residual
-/// injection, ...).  Shared by `sssp_async` and the residual engine's
-/// min-plus instantiation (src/residual/algebras.hpp) — the fourth copy
-/// this header exists to prevent.
-template <typename G, typename W, typename Emit>
-inline void relax_out_edges(G const& g, typename G::vertex_type v, W* dist,
-                            Emit&& emit) {
-  W const d_v = atomic::load(&dist[static_cast<std::size_t>(v)]);
-  if (d_v == infinity_v<W>)
-    return;
-  for (auto const e : g.get_edges(v)) {
-    auto const n = g.get_dest_vertex(e);
-    if (relax(dist, static_cast<std::size_t>(n), d_v + g.get_edge_weight(e)))
-      emit(n);
+namespace detail {
+
+template <typename P, typename V>
+void uniquify_vertices(P policy, frontier::sparse_frontier<V>& f,
+                       std::size_t n) {
+  if constexpr (std::decay_t<P>::is_parallel)
+    operators::uniquify(policy, f, n);
+  else
+    operators::uniquify(policy, f);
+}
+
+/// One superstep: expand with `cond`, then uniquify, so a vertex improved
+/// many times costs one future expansion.
+template <typename P, typename G, typename Cond>
+frontier::sparse_frontier<typename G::vertex_type> relax_step(
+    P policy, G const& g,
+    frontier::sparse_frontier<typename G::vertex_type> const& in,
+    Cond const& cond) {
+  auto out = operators::advance_balanced(policy, g, in, cond);
+  uniquify_vertices(policy, out,
+                    static_cast<std::size_t>(g.get_num_vertices()));
+  return out;
+}
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
+// Bulk-synchronous loop
+// ---------------------------------------------------------------------------
+
+/// Bulk-synchronous relaxation from `seeds` (their values already set):
+/// one `relax_step` per superstep until no relaxation improves anything.
+/// `cond` is `min_plus_condition` or any condition with its contract
+/// (keep dst iff this call improved it).
+template <typename P, typename G, typename Cond>
+  requires execution::synchronous_policy<P>
+enactor::enact_stats relax_bsp(P policy, G const& g,
+                               std::vector<typename G::vertex_type> seeds,
+                               Cond cond) {
+  using V = typename G::vertex_type;
+  return enactor::bsp_loop(
+      frontier::sparse_frontier<V>(std::move(seeds)),
+      [&](frontier::sparse_frontier<V> in, std::size_t /*iteration*/) {
+        return detail::relax_step(policy, g, in, cond);
+      });
+}
+
+// ---------------------------------------------------------------------------
+// Asynchronous loop
+// ---------------------------------------------------------------------------
+
+/// Asynchronous relaxation from `source` (value[source] already set): the
+/// frontier is a concurrent queue; `workers` consumers relax the out-edges
+/// of popped vertices with `min_plus_condition` and queue every neighbor
+/// they improved.  No supersteps, no barriers; returns at quiescence.
+template <typename Cost = weight_cost, typename G, typename T>
+void relax_async(G const& g, typename G::vertex_type source, T* value,
+                 std::size_t workers) {
+  using V = typename G::vertex_type;
+  auto const relax_edge = min_plus_condition<Cost>(value);
+  frontier::async_queue_frontier<V> f;
+  f.add_vertex(source);
+  enactor::async_loop(f, workers, [&g, &f, &relax_edge](V const v) {
+    for (auto const e : g.get_edges(v)) {
+      V const n = g.get_dest_vertex(e);
+      if (relax_edge(v, n, e, g.get_edge_weight(e)))
+        f.add_vertex(n);
+    }
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Message passing
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+/// The (vertex, value) message word: vertex id in the high 32 bits, the
+/// value's bit pattern in the low 32.
+template <typename V, typename T>
+struct vertex_value_word {
+  static_assert(sizeof(V) <= sizeof(std::uint32_t) &&
+                    sizeof(T) <= sizeof(std::uint32_t),
+                "(vertex, value) must pack into one u64 message word");
+
+  static std::uint64_t pack(V v, T x) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &x, sizeof(T));
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)) << 32) |
+           bits;
   }
+  static V vertex(std::uint64_t word) { return static_cast<V>(word >> 32); }
+  static T value(std::uint64_t word) {
+    auto const bits = static_cast<std::uint32_t>(word);
+    T x{};
+    std::memcpy(&x, &bits, sizeof(T));
+    return x;
+  }
+};
+
+/// Collective: every rank contributes the reached values of the vertices
+/// it owns; rank 0 writes them into `out` (other ranks leave it alone).
+template <typename V, typename T>
+void gather_owned(mpsim::communicator& comm, int rank,
+                  std::function<int(V)> const& owner,
+                  std::vector<T> const& local, std::vector<T>& out) {
+  using word = vertex_value_word<V, T>;
+  constexpr int kTagGather = 1 << 30;  // above every superstep/Safra tag
+  std::vector<std::uint64_t> mine;
+  for (std::size_t v = 0; v < local.size(); ++v)
+    if (local[v] != infinity_v<T> && owner(static_cast<V>(v)) == rank)
+      mine.push_back(word::pack(static_cast<V>(v), local[v]));
+  for (std::uint64_t const w :
+       comm.gather(rank, 0, kTagGather, std::move(mine)))
+    out[static_cast<std::size_t>(word::vertex(w))] = word::value(w);
+}
+
+/// The default vertex partition: v mod P, the paper's random-partitioning
+/// heuristic.
+template <typename V>
+std::function<int(V)> modulo_owner(int num_ranks) {
+  return [num_ranks](V v) { return static_cast<int>(v % num_ranks); };
+}
+
+}  // namespace detail
+
+/// Bulk-synchronous relaxation across `num_ranks` mpsim ranks, seeded at
+/// `source` with value 0.  Vertices are owned per `owner` (which must agree
+/// across ranks; empty means v mod P).  Frontier elements are
+/// (vertex, value) words in a `distributed_frontier` routed by the vertex
+/// half, so one `exchange` per superstep both delivers relaxations to
+/// owners and all-reduces the global frontier size.
+///
+/// Per rank, `local` holds the authoritative values of owned vertices and,
+/// for remote ones, the best value this rank has sent — the owner's value
+/// is never larger, so a candidate that does not beat it is never sent.
+/// A word activates its vertex when its value is <= the owner's: words a
+/// rank produced for its own vertices were committed during expansion
+/// (equality), received ones are committed on arrival.  Ranks expand with
+/// `execution::seq`, or on a private pool when `threads_per_rank > 1`.
+///
+/// On return rank 0 has written every reached vertex's value into `value`
+/// (size |V|; unreached entries are left as they were); the result is the
+/// superstep count.
+template <typename Cost = weight_cost, typename G, typename T>
+std::size_t relax_message_passing(
+    G const& g, typename G::vertex_type source, int num_ranks,
+    std::function<int(typename G::vertex_type)> owner,
+    std::size_t threads_per_rank, std::vector<T>& value) {
+  using V = typename G::vertex_type;
+  using word = detail::vertex_value_word<V, T>;
+  if (!owner)
+    owner = detail::modulo_owner<V>(num_ranks);
+  std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
+  std::size_t supersteps = 0;
+
+  auto const enact = [&](auto policy, mpsim::communicator& comm, int rank) {
+    std::vector<T> local(n, infinity_v<T>);
+    T* const val = local.data();
+    auto const relax_edge = min_plus_condition<Cost>(val);
+    frontier::distributed_frontier<std::uint64_t> words(
+        comm, rank,
+        [&owner](std::uint64_t w) { return owner(word::vertex(w)); });
+    if (owner(source) == rank)
+      words.add_vertex(word::pack(source, T{0}));
+
+    int tag = 0;
+    std::size_t steps = 0;
+    while (words.exchange(tag++) != 0) {
+      frontier::sparse_frontier<V> active;
+      for (std::uint64_t const w : words.local()) {
+        auto const v = static_cast<std::size_t>(word::vertex(w));
+        T const x = word::value(w);
+        if (x <= val[v]) {
+          val[v] = x;
+          active.active().push_back(static_cast<V>(v));
+        }
+      }
+      detail::uniquify_vertices(policy, active, n);
+      auto const improved = detail::relax_step(policy, g, active, relax_edge);
+      for (V const u : improved.active())
+        words.add_vertex(word::pack(u, val[static_cast<std::size_t>(u)]));
+      ++steps;
+    }
+    detail::gather_owned(comm, rank, owner, local, value);
+    if (rank == 0)
+      supersteps = steps;
+  };
+
+  mpsim::communicator::run(num_ranks, [&](mpsim::communicator& comm,
+                                          int rank) {
+    if (threads_per_rank > 1) {
+      parallel::thread_pool pool(threads_per_rank);
+      enact(execution::parallel_policy(pool), comm, rank);
+    } else {
+      enact(execution::seq, comm, rank);
+    }
+  });
+  return supersteps;
 }
 
 }  // namespace essentials::algorithms

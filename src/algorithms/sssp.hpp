@@ -2,30 +2,29 @@
 
 /// \file algorithms/sssp.hpp
 /// \brief Single-source shortest paths — the paper's worked example
-/// (Listing 4), in every timing/communication/direction variant the
-/// abstraction supports, plus the serial textbook baselines the parallel
-/// versions are validated against.
+/// (Listing 4) — in each timing/communication/direction model, plus the
+/// serial textbook baselines the parallel versions are validated against.
 ///
-/// Variants:
-///  - `sssp` (push, BSP, shared memory): Listing 4 verbatim — sparse
-///    frontier, `neighbors_expand` with the atomic-min relaxation
-///    condition, `while (f.size() != 0)` loop.  Policy-parameterized.
+/// Variants (all but the pull scan and the baselines seed a loop of
+/// algorithms/relax.hpp with the source and the weight cost):
+///  - `sssp` (push, BSP, shared memory): Listing 4 — `relax_bsp`.
+///    Policy-parameterized, load balanced per `policy.balance`.
 ///  - `sssp_pull` (pull, BSP): dense frontiers over the CSC view.
-///  - `sssp_async` (asynchronous, shared memory): queue frontier +
-///    `async_loop`; no barriers anywhere, convergence by quiescence.
-///  - `sssp_message_passing`: vertices partitioned across mpsim ranks; all
-///    relaxations of remote vertices travel as (vertex, distance) messages.
+///  - `sssp_async` (asynchronous, shared memory): `relax_async`; no
+///    barriers anywhere, convergence by quiescence.
+///  - `sssp_message_passing`: `relax_message_passing` — vertices
+///    partitioned across mpsim ranks, relaxations of remote vertices travel
+///    as (vertex, distance) words; `threads_per_rank > 1` expands each
+///    rank's slice on a private pool (the hierarchical deployment of
+///    §III-B).
 ///  - Baselines: `dijkstra` (binary heap, the exact oracle) and
 ///    `bellman_ford` (the textbook bulk-relaxation SSSP).
 ///
 /// Weights must be non-negative for the label-correcting parallel variants
 /// to terminate; this matches the paper's (and Gunrock's) SSSP.
 
-#include <algorithm>
-#include <cstdint>
-#include <cstring>
+#include <cstddef>
 #include <functional>
-#include <limits>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -35,12 +34,8 @@
 #include "core/execution.hpp"
 #include "core/frontier/frontier.hpp"
 #include "core/operators/advance.hpp"
-#include "core/operators/advance_balanced.hpp"
-#include "core/operators/filter.hpp"
 #include "core/telemetry.hpp"
 #include "core/types.hpp"
-#include "mpsim/communicator.hpp"
-#include "parallel/atomics.hpp"
 
 namespace essentials::algorithms {
 
@@ -52,51 +47,37 @@ struct sssp_result {
   std::size_t iterations = 0;  ///< supersteps (async variants report 0)
 };
 
+namespace detail {
+
+/// Distances with only the source settled (at 0).
+template <typename G>
+sssp_result<typename G::weight_type> make_sssp_state(
+    G const& g, typename G::vertex_type source, char const* who) {
+  using W = typename G::weight_type;
+  expects(source >= 0 && source < g.get_num_vertices(), who);
+  sssp_result<W> r;
+  r.distances.assign(static_cast<std::size_t>(g.get_num_vertices()),
+                     infinity_v<W>);
+  r.distances[static_cast<std::size_t>(source)] = W{0};
+  return r;
+}
+
+}  // namespace detail
+
 // ---------------------------------------------------------------------------
 // Push BSP — paper Listing 4
 // ---------------------------------------------------------------------------
 
-/// Parallel SSSP, Listing 4: initialize distances, seed the frontier with
-/// the source, and loop `neighbors_expand` with the atomic-min relaxation
-/// condition until the frontier drains.  `uniquify` compresses the output
-/// frontier each superstep so repeated discoveries of a vertex cost one
-/// future expansion, not many.
+/// Parallel SSSP, Listing 4: settle the source, seed the frontier with it,
+/// and relax (atomic-min on the destination, keep it iff improved) until
+/// the frontier drains.
 template <typename P, typename G>
   requires execution::synchronous_policy<P>
 sssp_result<typename G::weight_type> sssp(P policy, G const& g,
                                           typename G::vertex_type source) {
-  using V = typename G::vertex_type;
-  using W = typename G::weight_type;
-  expects(source >= 0 && source < g.get_num_vertices(),
-          "sssp: source out of range");
-
-  sssp_result<W> result;
-  result.distances.assign(static_cast<std::size_t>(g.get_num_vertices()),
-                          infinity_v<W>);
-  result.distances[static_cast<std::size_t>(source)] = W{0};
-  W* const dist = result.distances.data();
-
-  frontier::sparse_frontier<V> f;
-  f.add_vertex(source);
-
-  auto const stats = enactor::bsp_loop(
-      std::move(f),
-      [&](frontier::sparse_frontier<V> in, std::size_t /*iteration*/) {
-        // Expand the frontier with the user-defined condition for SSSP —
-        // Listing 4's lambda: relax, and keep the neighbor iff our
-        // relaxation improved its distance.  The atomic-load-source /
-        // atomic-min-destination contract lives in algorithms/relax.hpp,
-        // shared with delta-stepping and the residual engine.
-        auto out = operators::advance_balanced(policy, g, in,
-                                               make_relax_condition(dist));
-        if constexpr (std::decay_t<P>::is_parallel)
-          operators::uniquify(policy, out,
-                              static_cast<std::size_t>(g.get_num_vertices()));
-        else
-          operators::uniquify(policy, out);
-        return out;
-      },
-      enactor::frontier_empty{});
+  auto result = detail::make_sssp_state(g, source, "sssp: source out of range");
+  auto const stats = relax_bsp(policy, g, {source},
+                               min_plus_condition(result.distances.data()));
   result.iterations = stats.iterations;
   return result;
 }
@@ -108,46 +89,28 @@ sssp_result<typename G::weight_type> sssp(P policy, G const& g,
 /// Pull-based SSSP over the transposed (CSC) structure: every vertex scans
 /// its in-edges for active predecessors and relaxes through them.  Dense
 /// frontiers throughout — the representation pull traversal wants, since it
-/// queries membership per in-edge.  No atomics are needed on the relaxation
-/// because each vertex's distance is written only by the lane that owns the
-/// vertex in the pull scan.
+/// queries membership per in-edge.  Each dst is written only by the lane
+/// that scans it, but its distance is read as a *source* by other lanes in
+/// the same superstep, so the shared atomic condition is required; with a
+/// single writer its CAS never retries.
 template <typename P, typename G>
   requires execution::synchronous_policy<P> && (G::has_csc)
 sssp_result<typename G::weight_type> sssp_pull(
     P policy, G const& g, typename G::vertex_type source) {
   using V = typename G::vertex_type;
-  using E = typename G::edge_type;
-  using W = typename G::weight_type;
-  expects(source >= 0 && source < g.get_num_vertices(),
-          "sssp_pull: source out of range");
+  auto result =
+      detail::make_sssp_state(g, source, "sssp_pull: source out of range");
+  auto const relax_edge = min_plus_condition(result.distances.data());
 
-  sssp_result<W> result;
-  std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
-  result.distances.assign(n, infinity_v<W>);
-  result.distances[static_cast<std::size_t>(source)] = W{0};
-  W* const dist = result.distances.data();
-
-  frontier::dense_frontier<V> f(n);
+  frontier::dense_frontier<V> f(static_cast<std::size_t>(g.get_num_vertices()));
   f.add_vertex(source);
-
   auto const stats = enactor::bsp_loop(
       std::move(f),
       [&](frontier::dense_frontier<V> in, std::size_t /*iteration*/) {
         if (auto* const rec = telemetry::current())
           rec->set_direction(direction_t::pull, false, frontier::density(in));
-        // Pull: dst relaxes itself through every active in-neighbor.  The
-        // condition writes dist[dst] without atomics — in the pull scan,
-        // vertex dst is processed by exactly one lane.
-        return operators::advance_pull<false>(
-            policy, g, in,
-            [dist](V const src, V const dst, E const /*edge*/, W const weight) {
-              if (dist[src] == infinity_v<W>)
-                return false;
-              return relax_plain(dist, static_cast<std::size_t>(dst),
-                                 dist[src] + weight);
-            });
-      },
-      enactor::frontier_empty{});
+        return operators::advance_pull<false>(policy, g, in, relax_edge);
+      });
   result.iterations = stats.iterations;
   return result;
 }
@@ -156,34 +119,15 @@ sssp_result<typename G::weight_type> sssp_pull(
 // Asynchronous (queue frontier)
 // ---------------------------------------------------------------------------
 
-/// Asynchronous SSSP: the frontier is a concurrent work queue; `workers`
-/// consumers relax out-edges of popped vertices and push improved neighbors
-/// straight back — no supersteps, no barriers.  Terminates at quiescence.
-/// The same relaxation lambda as the BSP version runs against the same
-/// shared distance array; only the *timing model* changed, which is the
-/// point of §III-A.
+/// Asynchronous SSSP: the same relaxation as `sssp`, enacted by `workers`
+/// queue consumers instead of supersteps — only the *timing model*
+/// changed, which is the point of §III-A.  Terminates at quiescence.
 template <typename G>
 sssp_result<typename G::weight_type> sssp_async(
     G const& g, typename G::vertex_type source, std::size_t workers = 4) {
-  using V = typename G::vertex_type;
-  using W = typename G::weight_type;
-  expects(source >= 0 && source < g.get_num_vertices(),
-          "sssp_async: source out of range");
-
-  sssp_result<W> result;
-  result.distances.assign(static_cast<std::size_t>(g.get_num_vertices()),
-                          infinity_v<W>);
-  result.distances[static_cast<std::size_t>(source)] = W{0};
-  W* const dist = result.distances.data();
-
-  frontier::async_queue_frontier<V> f;
-  f.add_vertex(source);
-  enactor::async_loop(f, workers, [&g, dist, &f](V const v) {
-    // Snapshot our current distance and relax every out-edge; a stale
-    // (larger) snapshot only causes a failed relaxation, never a wrong
-    // result.  Improved neighbors go straight back on the queue.
-    relax_out_edges(g, v, dist, [&f](V const n) { f.add_vertex(n); });
-  });
+  auto result =
+      detail::make_sssp_state(g, source, "sssp_async: source out of range");
+  relax_async(g, source, result.distances.data(), workers);
   return result;
 }
 
@@ -193,139 +137,24 @@ sssp_result<typename G::weight_type> sssp_async(
 
 /// Message-passing SSSP: vertices are partitioned across `num_ranks` by
 /// `owner` (default: v mod P, the random-partition heuristic).  Each rank
-/// keeps distances only for the vertices it owns; a relaxation of a remote
-/// vertex is shipped as a (vertex, candidate-distance) message.  The BSP
-/// supersteps end with an all-reduce of the global frontier size — the
-/// shared-nothing flavour of Listing 4's convergence condition.
+/// owns the distances of its vertices; relaxations of remote vertices are
+/// shipped as (vertex, distance) words, and each superstep ends with an
+/// all-reduce of the global frontier size — the shared-nothing flavour of
+/// Listing 4's convergence condition.  With `threads_per_rank > 1` each
+/// rank expands its slice on a private pool: message passing between
+/// ranks, shared memory inside them (§III-B's hierarchical deployment).
 ///
-/// The full distance vector (assembled by rank 0 via messages) is returned.
+/// The full distance vector (gathered at rank 0) is returned.
 template <typename G>
 sssp_result<typename G::weight_type> sssp_message_passing(
     G const& g, typename G::vertex_type source, int num_ranks = 4,
-    std::function<int(typename G::vertex_type)> owner = {}) {
-  using V = typename G::vertex_type;
-  using W = typename G::weight_type;
-  static_assert(sizeof(W) <= sizeof(std::uint32_t),
-                "weights packed into u64 message words");
-  expects(source >= 0 && source < g.get_num_vertices(),
-          "sssp_message_passing: source out of range");
-  if (!owner)
-    owner = [num_ranks](V v) { return static_cast<int>(v % num_ranks); };
-
-  std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
-  sssp_result<W> result;
-  result.distances.assign(n, infinity_v<W>);
-  std::size_t iterations = 0;
-
-  constexpr int kTagRelax = 1;
-  constexpr int kTagGather = 2;
-
-  auto const pack = [](V v, W d) {
-    std::uint32_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)) << 32) |
-           bits;
-  };
-  auto const unpack_vertex = [](std::uint64_t word) {
-    return static_cast<V>(word >> 32);
-  };
-  auto const unpack_weight = [](std::uint64_t word) {
-    W d;
-    std::uint32_t const bits = static_cast<std::uint32_t>(word);
-    std::memcpy(&d, &bits, sizeof(d));
-    return d;
-  };
-
-  mpsim::communicator::run(num_ranks, [&](mpsim::communicator& comm, int rank) {
-    // Rank-private state: distances of owned vertices only (keyed by global
-    // id for simplicity; unowned slots stay untouched).
-    std::vector<W> dist(n, infinity_v<W>);
-    std::vector<V> active;
-    if (owner(source) == rank) {
-      dist[static_cast<std::size_t>(source)] = W{0};
-      active.push_back(source);
-    }
-
-    std::vector<std::vector<std::uint64_t>> outgoing(
-        static_cast<std::size_t>(comm.size()));
-    int superstep = 0;
-    for (;;) {
-      // Relax out-edges of owned active vertices.
-      std::vector<V> next;
-      for (V const v : active) {
-        W const d_v = dist[static_cast<std::size_t>(v)];
-        for (auto const e : g.get_edges(v)) {
-          V const dst = g.get_dest_vertex(e);
-          W const new_d = d_v + g.get_edge_weight(e);
-          int const dst_rank = owner(dst);
-          if (dst_rank == rank) {
-            if (relax_plain(dist.data(), static_cast<std::size_t>(dst), new_d))
-              next.push_back(dst);
-          } else {
-            outgoing[static_cast<std::size_t>(dst_rank)].push_back(
-                pack(dst, new_d));
-          }
-        }
-      }
-      // Exchange relaxation messages (everyone sends to everyone, possibly
-      // empty, so receives are deterministic).
-      int const tag = kTagRelax + 2 * superstep;
-      for (int dst = 0; dst < comm.size(); ++dst) {
-        if (dst == rank)
-          continue;
-        comm.send(rank, dst, tag,
-                  std::move(outgoing[static_cast<std::size_t>(dst)]));
-        outgoing[static_cast<std::size_t>(dst)].clear();
-      }
-      for (int i = 0; i < comm.size() - 1; ++i) {
-        mpsim::message_t msg;
-        if (!comm.recv(rank, tag, msg))
-          return;
-        for (std::uint64_t const word : msg.payload) {
-          V const v = unpack_vertex(word);
-          W const d = unpack_weight(word);
-          if (relax_plain(dist.data(), static_cast<std::size_t>(v), d))
-            next.push_back(v);
-        }
-      }
-      // Deduplicate the next active set (a vertex may improve many times in
-      // one superstep).
-      std::sort(next.begin(), next.end());
-      next.erase(std::unique(next.begin(), next.end()), next.end());
-      active = std::move(next);
-
-      std::uint64_t const global_active = comm.all_reduce_sum(
-          rank, static_cast<std::uint64_t>(active.size()));
-      ++superstep;
-      if (global_active == 0)
-        break;
-    }
-
-    // Gather owned distances at rank 0.
-    std::vector<std::uint64_t> mine;
-    for (std::size_t v = 0; v < n; ++v)
-      if (owner(static_cast<V>(v)) == rank &&
-          dist[v] != infinity_v<W>)
-        mine.push_back(pack(static_cast<V>(v), dist[v]));
-    if (rank == 0) {
-      for (std::uint64_t const word : mine)
-        result.distances[static_cast<std::size_t>(unpack_vertex(word))] =
-            unpack_weight(word);
-      for (int i = 0; i < comm.size() - 1; ++i) {
-        mpsim::message_t msg;
-        if (!comm.recv(0, kTagGather, msg))
-          return;
-        for (std::uint64_t const word : msg.payload)
-          result.distances[static_cast<std::size_t>(unpack_vertex(word))] =
-              unpack_weight(word);
-      }
-      iterations = static_cast<std::size_t>(superstep);
-    } else {
-      comm.send(rank, 0, kTagGather, std::move(mine));
-    }
-  });
-
-  result.iterations = iterations;
+    std::function<int(typename G::vertex_type)> owner = {},
+    std::size_t threads_per_rank = 1) {
+  auto result = detail::make_sssp_state(
+      g, source, "sssp_message_passing: source out of range");
+  result.iterations =
+      relax_message_passing(g, source, num_ranks, std::move(owner),
+                            threads_per_rank, result.distances);
   return result;
 }
 
@@ -340,13 +169,8 @@ sssp_result<typename G::weight_type> dijkstra(
     G const& g, typename G::vertex_type source) {
   using V = typename G::vertex_type;
   using W = typename G::weight_type;
-  expects(source >= 0 && source < g.get_num_vertices(),
-          "dijkstra: source out of range");
-
-  sssp_result<W> result;
-  result.distances.assign(static_cast<std::size_t>(g.get_num_vertices()),
-                          infinity_v<W>);
-  result.distances[static_cast<std::size_t>(source)] = W{0};
+  auto result =
+      detail::make_sssp_state(g, source, "dijkstra: source out of range");
 
   using entry = std::pair<W, V>;
   std::priority_queue<entry, std::vector<entry>, std::greater<entry>> heap;
@@ -375,13 +199,9 @@ sssp_result<typename G::weight_type> bellman_ford(
     G const& g, typename G::vertex_type source) {
   using V = typename G::vertex_type;
   using W = typename G::weight_type;
-  expects(source >= 0 && source < g.get_num_vertices(),
-          "bellman_ford: source out of range");
-
-  sssp_result<W> result;
+  auto result =
+      detail::make_sssp_state(g, source, "bellman_ford: source out of range");
   std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
-  result.distances.assign(n, infinity_v<W>);
-  result.distances[static_cast<std::size_t>(source)] = W{0};
 
   for (std::size_t round = 0; round + 1 < n || round == 0; ++round) {
     bool changed = false;

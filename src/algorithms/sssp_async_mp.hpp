@@ -17,7 +17,6 @@
 /// shared-memory async variants each exercise one axis at a time).
 
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <functional>
 #include <limits>
@@ -39,12 +38,11 @@ sssp_result<typename G::weight_type> sssp_async_message_passing(
     std::function<int(typename G::vertex_type)> owner = {}) {
   using V = typename G::vertex_type;
   using W = typename G::weight_type;
-  static_assert(sizeof(W) <= sizeof(std::uint32_t),
-                "weights packed into u64 message words");
+  using word = detail::vertex_value_word<V, W>;
   expects(source >= 0 && source < g.get_num_vertices(),
           "sssp_async_message_passing: source out of range");
   if (!owner)
-    owner = [num_ranks](V v) { return static_cast<int>(v % num_ranks); };
+    owner = detail::modulo_owner<V>(num_ranks);
 
   std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
   sssp_result<W> result;
@@ -53,23 +51,6 @@ sssp_result<typename G::weight_type> sssp_async_message_passing(
   constexpr int kTagWork = 1;
   constexpr int kTagToken = 2;
   constexpr int kTagStop = 3;
-  constexpr int kTagGather = 4;
-
-  auto const pack = [](V v, W d) {
-    std::uint32_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)) << 32) |
-           bits;
-  };
-  auto const unpack_vertex = [](std::uint64_t word) {
-    return static_cast<V>(word >> 32);
-  };
-  auto const unpack_weight = [](std::uint64_t word) {
-    W d;
-    auto const bits = static_cast<std::uint32_t>(word);
-    std::memcpy(&d, &bits, sizeof(d));
-    return d;
-  };
 
   mpsim::communicator::run(num_ranks, [&](mpsim::communicator& comm,
                                           int rank) {
@@ -112,6 +93,23 @@ sssp_result<typename G::weight_type> sssp_async_message_passing(
     if (rank == 0)
       token_pending = true;  // rank 0 owns round initiation
 
+    // Mailbox dispatch: work words relax owned vertices (and blacken us),
+    // a token waits until we are passive, a stop ends the loop.
+    auto const absorb = [&](mpsim::message_t const& msg) {
+      if (msg.tag == kTagWork) {
+        --balance;
+        black = true;
+        for (std::uint64_t const w : msg.payload)
+          enqueue_local(word::vertex(w), word::value(w));
+      } else if (msg.tag == kTagToken) {
+        token_pending = true;
+        token_black_in = msg.payload[0] != 0;
+        token_q_in = static_cast<long long>(msg.payload[1]);
+      } else if (msg.tag == kTagStop) {
+        stop = true;
+      }
+    };
+
     while (!stop) {
       // 1. Drain local work (bounded burst, so message handling stays
       // responsive).
@@ -126,12 +124,12 @@ sssp_result<typename G::weight_type> sssp_async_message_passing(
           int const u_rank = owner(u);
           if (u_rank == rank) {
             enqueue_local(u, nd);
-          } else if (nd < dist[static_cast<std::size_t>(u)]) {
-            // Local cache of the best value we have forwarded: suppresses
+          } else if (relax_plain(dist.data(), static_cast<std::size_t>(u),
+                                 nd)) {
+            // dist[u] caches the best value we have forwarded: suppresses
             // repeat sends without affecting correctness (the owner keeps
             // the authoritative value).
-            dist[static_cast<std::size_t>(u)] = nd;
-            comm.send(rank, u_rank, kTagWork, {pack(u, nd)});
+            comm.send(rank, u_rank, kTagWork, {word::pack(u, nd)});
             ++balance;
           }
         }
@@ -139,20 +137,8 @@ sssp_result<typename G::weight_type> sssp_async_message_passing(
 
       // 2. Absorb everything in the mailbox.
       mpsim::message_t msg;
-      while (comm.try_recv(rank, -1, msg)) {
-        if (msg.tag == kTagWork) {
-          --balance;
-          black = true;
-          for (std::uint64_t const word : msg.payload)
-            enqueue_local(unpack_vertex(word), unpack_weight(word));
-        } else if (msg.tag == kTagToken) {
-          token_pending = true;
-          token_black_in = msg.payload[0] != 0;
-          token_q_in = static_cast<long long>(msg.payload[1]);
-        } else if (msg.tag == kTagStop) {
-          stop = true;
-        }
-      }
+      while (comm.try_recv(rank, -1, msg))
+        absorb(msg);
       if (stop)
         break;
 
@@ -193,35 +179,14 @@ sssp_result<typename G::weight_type> sssp_async_message_passing(
       // 4. Nothing to do and no token: block briefly on the mailbox so we
       // neither spin nor miss termination.
       if (work.empty() && !token_pending) {
-        if (comm.recv(rank, -1, msg)) {
-          if (msg.tag == kTagWork) {
-            --balance;
-            black = true;
-            for (std::uint64_t const word : msg.payload)
-              enqueue_local(unpack_vertex(word), unpack_weight(word));
-          } else if (msg.tag == kTagToken) {
-            token_pending = true;
-            token_black_in = msg.payload[0] != 0;
-            token_q_in = static_cast<long long>(msg.payload[1]);
-          } else if (msg.tag == kTagStop) {
-            stop = true;
-          }
-        } else {
+        if (comm.recv(rank, -1, msg))
+          absorb(msg);
+        else
           stop = true;  // communicator shut down
-        }
       }
     }
 
-    // Gather owned distances at rank 0.
-    std::vector<std::uint64_t> mine;
-    for (std::size_t v = 0; v < n; ++v)
-      if (owner(static_cast<V>(v)) == rank && dist[v] != infinity_v<W>)
-        mine.push_back(pack(static_cast<V>(v), dist[v]));
-    auto const gathered = comm.gather(rank, 0, kTagGather, std::move(mine));
-    if (rank == 0)
-      for (std::uint64_t const word : gathered)
-        result.distances[static_cast<std::size_t>(unpack_vertex(word))] =
-            unpack_weight(word);
+    detail::gather_owned(comm, rank, owner, dist, result.distances);
   });
 
   return result;

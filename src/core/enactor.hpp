@@ -14,7 +14,7 @@
 ///    direction-optimizing algorithms.
 ///  - `async_loop`: no supersteps — a crew of consumers pops active
 ///    vertices from an asynchronous queue frontier until quiescence (or an
-///    explicit condition closes the queue).
+///    optional stop predicate closes the queue).
 ///
 /// Convergence conditions are small composable function objects; `either`
 /// (binary) and `any_of` (variadic) compose them ("empty frontier OR
@@ -54,10 +54,6 @@ struct frontier_empty {
     return f.empty();
   }
 };
-
-/// Survey-flavoured spelling of the same condition (TLAV literature calls
-/// this "halt on empty frontier").
-using empty_frontier = frontier_empty;
 
 /// Converged after a fixed number of supersteps — the condition of
 /// fixed-point algorithms sampled for a bounded time (or a safety net).
@@ -272,6 +268,11 @@ enact_stats bsp_loop(FrontierT frontier, StepF step,
 // Asynchronous driver
 // ---------------------------------------------------------------------------
 
+/// The default `async_loop` stop predicate: never stop early.
+struct never_stop {
+  constexpr bool operator()() const noexcept { return false; }
+};
+
 /// Asynchronous loop: `num_workers` consumers pop active vertices from the
 /// queue frontier and run `body(v)` on each; `body` re-activates vertices
 /// by calling `f.add_vertex(...)`.  Returns when the frontier is quiescent
@@ -279,58 +280,18 @@ enact_stats bsp_loop(FrontierT frontier, StepF step,
 /// convergence condition.  Dedicated threads (not the pool) because
 /// consumers block on pops; blocking pool workers could starve unrelated
 /// operators sharing the pool.
-template <typename T, typename BodyF>
-std::size_t async_loop(frontier::async_queue_frontier<T>& f,
-                       std::size_t num_workers, BodyF body) {
-  expects(num_workers >= 1, "async_loop: need at least one worker");
-  auto const start = std::chrono::steady_clock::now();
-  std::vector<std::thread> crew;
-  crew.reserve(num_workers);
-  std::vector<std::size_t> processed(num_workers, 0);
-  for (std::size_t w = 0; w < num_workers; ++w) {
-    crew.emplace_back([&f, &body, &processed, w] {
-      T v{};
-      while (f.pop_vertex(v)) {
-        body(v);
-        f.finish_vertex();
-        ++processed[w];
-      }
-    });
-  }
-  std::size_t total = 0;
-  for (std::size_t w = 0; w < num_workers; ++w) {
-    crew[w].join();
-    total += processed[w];
-  }
-  // Asynchronous runs have no supersteps; the trace records the whole
-  // drain-to-quiescence phase as one op (items == activations processed).
-  if (telemetry::recorder* const rec = telemetry::current()) {
-    telemetry::op_record op;
-    op.name = "async_loop";
-    op.items_in = total;
-    op.items_out = total;
-    op.pool_lanes = num_workers;
-    op.async = true;
-    op.millis = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-    rec->add_op(std::move(op));
-  }
-  return total;
-}
-
-/// Asynchronous loop with a stop condition: identical to `async_loop`, but
-/// each consumer re-evaluates `should_stop()` (any nullary predicate — a
-/// `cancelled_or_deadline` bound to a frontier-free closure, a lambda over
-/// a cancel_token...) between items; the first lane to observe it closes
-/// the queue, which wakes every blocked consumer and ends the loop even
-/// though the frontier is not quiescent.  This is how engine jobs running
-/// in the asynchronous timing model honour deadlines and cancellation: the
-/// check costs one predicate call per *item*, never per edge.
-template <typename T, typename BodyF, typename StopF>
+///
+/// Each consumer also evaluates `should_stop()` (any nullary predicate — a
+/// lambda over a cancel_token, an engine job's stop check...) between
+/// items; the first lane to observe it closes the queue, which wakes every
+/// blocked consumer and ends the loop even though the frontier is not
+/// quiescent.  This is how engine jobs in the asynchronous timing model
+/// honour deadlines and cancellation: one predicate call per *item*, never
+/// per edge, and none at all with the default `never_stop`.
+template <typename T, typename BodyF, typename StopF = never_stop>
 std::size_t async_loop(frontier::async_queue_frontier<T>& f,
                        std::size_t num_workers, BodyF body,
-                       StopF should_stop) {
+                       StopF should_stop = {}) {
   expects(num_workers >= 1, "async_loop: need at least one worker");
   auto const start = std::chrono::steady_clock::now();
   std::vector<std::thread> crew;
@@ -356,9 +317,11 @@ std::size_t async_loop(frontier::async_queue_frontier<T>& f,
     crew[w].join();
     total += processed[w];
   }
+  // Asynchronous runs have no supersteps; the trace records the whole
+  // drain-to-quiescence phase as one op (items == activations processed).
   if (telemetry::recorder* const rec = telemetry::current()) {
     telemetry::op_record op;
-    op.name = "async_loop.stoppable";
+    op.name = "async_loop";
     op.items_in = total;
     op.items_out = total;
     op.pool_lanes = num_workers;

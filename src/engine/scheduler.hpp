@@ -19,7 +19,7 @@
 /// Deadlines and cancellation are *cooperative*, threaded into the paper's
 /// fourth essential (the convergence condition): the runner hands the job
 /// a `job_context` whose `stop_condition()` composes into `bsp_loop` via
-/// `any_of` (or drives the stoppable `async_loop` overload).  A job past
+/// `any_of` (or serves as `async_loop`'s stop predicate).  A job past
 /// its deadline therefore stops at the next superstep boundary — no thread
 /// is ever killed, no state is torn.  The context records *which* guard
 /// fired, so the scheduler classifies the outcome (`deadline_expired` vs

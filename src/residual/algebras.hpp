@@ -29,7 +29,6 @@
 
 #include <cstdint>
 
-#include "algorithms/relax.hpp"
 #include "core/types.hpp"
 #include "graph/delta.hpp"
 #include "residual/algebra.hpp"
@@ -43,7 +42,7 @@ namespace essentials::residual {
 
 /// Min-plus (tropical) algebra: SSSP.  Claimed deltas are candidate
 /// distances; combine keeps the smaller, shares are `new_value + weight` —
-/// the same relaxation contract as algorithms/relax.hpp, expressed as an
+/// the min-plus program of algorithms/relax.hpp, expressed as an
 /// accumulator.
 template <typename W = weight_t>
 struct min_plus_algebra {

@@ -31,6 +31,7 @@
 #include "engine/engine.hpp"
 #include "engine/registry.hpp"
 #include "engine/warm_jobs.hpp"
+#include "generators/generators.hpp"
 #include "graph/delta.hpp"
 #include "graph/dynamic.hpp"
 #include "graph/graph.hpp"
@@ -461,6 +462,74 @@ TEST(DeltaIncremental, SupersavedSupersteps) {
   expect_same_distances(warm, alg::sssp(exec::seq, *s2, 0));
   EXPECT_LT(out.supersteps, 8u);
   EXPECT_GT(out.supersteps_saved, static_cast<std::size_t>(n) / 2);
+}
+
+TEST(DeltaIncremental, WarmEqualsColdUnderEveryLoadBalance) {
+  // A skewed R-MAT republished with an insert-only delta: a fan-out that
+  // turns vertex 0 into a hub past the degree-class huge cutoff (so the
+  // first warm superstep takes the cooperative expansion), then random
+  // symmetric edges.  Warm starts reach `policy.balance` through the shared
+  // BSP relax loop; every strategy must land on the cold fixed point.
+  essentials::generators::rmat_options opt;
+  opt.scale = 13;
+  opt.edge_factor = 2;
+  opt.weights = {1.0f, 9.0f};
+  opt.seed = 11;
+  auto const coo = essentials::generators::rmat(opt);
+  vertex_t const n = coo.num_rows;
+  dyn_t g(n);
+  for (std::size_t i = 0; i < coo.row_indices.size(); ++i) {
+    g.add_edge(coo.row_indices[i], coo.column_indices[i], coo.values[i]);
+    g.add_edge(coo.column_indices[i], coo.row_indices[i], coo.values[i]);
+  }
+  auto [base, e1] = g.publish_epoch<gr::graph_csr>();
+
+  // Fan-out weights sit below every R-MAT weight, and the random edges
+  // below those, so no insert raises an existing weight (which would log a
+  // remove and force the cold fallback).
+  for (vertex_t v = 1; v < n; ++v) {
+    g.add_edge(0, v, 0.75f);
+    g.add_edge(v, 0, 0.75f);
+  }
+  std::mt19937_64 rng(5);
+  std::uniform_int_distribution<vertex_t> pick(0, n - 1);
+  for (int i = 0; i < 64; ++i) {
+    vertex_t const a = pick(rng);
+    vertex_t const b = pick(rng);
+    g.add_edge(a, b, 0.5f);
+    g.add_edge(b, a, 0.5f);
+  }
+  auto [next, e2] = g.publish_epoch<gr::graph_csr>();
+  auto const delta = g.delta_since(e1);
+  ASSERT_TRUE(delta.complete);
+  ASSERT_TRUE(delta.insert_only());
+
+  vertex_t const source = coo.row_indices[0];
+  auto const prev_sssp = alg::sssp(exec::seq, *base, source);
+  auto const prev_bfs = alg::bfs(exec::seq, *base, source);
+  auto const prev_cc = alg::connected_components(exec::seq, *base);
+
+  using lb = exec::load_balance;
+  for (lb const balance : {lb::thread_mapped, lb::edge_balanced,
+                           lb::degree_class, lb::auto_select}) {
+    SCOPED_TRACE(exec::to_string(balance));
+    auto const policy = exec::par.with_load_balance(balance);
+    alg::incremental_outcome out_s, out_b, out_c;
+    expect_same_distances(
+        alg::sssp_incremental(policy, *next, source, prev_sssp, delta, &out_s),
+        alg::sssp(policy, *next, source));
+    auto const warm_bfs =
+        alg::bfs_incremental(policy, *next, source, prev_bfs, delta, &out_b);
+    expect_same_depths(warm_bfs, alg::bfs(policy, *next, source));
+    expect_valid_bfs_tree(warm_bfs, *next, source);
+    expect_same_labels(
+        alg::connected_components_incremental(policy, *next, prev_cc, delta,
+                                              &out_c),
+        alg::connected_components(policy, *next));
+    EXPECT_TRUE(out_s.warm_started);
+    EXPECT_TRUE(out_b.warm_started);
+    EXPECT_TRUE(out_c.warm_started);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -87,8 +87,7 @@ TEST(BspLoop, IterationIndexIsPassedToStep) {
   EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2}));
 }
 
-TEST(BspLoop, EmptyFrontierAliasNamesFrontierEmpty) {
-  static_assert(std::is_same_v<en::empty_frontier, en::frontier_empty>);
+TEST(BspLoop, FrontierEmptyStopsWhenFrontierDrains) {
   fr::sparse_frontier<vertex_t> f(std::vector<vertex_t>(4, 0));
   auto const stats = en::bsp_loop(
       std::move(f),
@@ -96,7 +95,7 @@ TEST(BspLoop, EmptyFrontierAliasNamesFrontierEmpty) {
         return fr::sparse_frontier<vertex_t>(
             std::vector<vertex_t>(in.size() / 2, 0));
       },
-      en::empty_frontier{});
+      en::frontier_empty{});
   EXPECT_EQ(stats.iterations, 3u);  // 4 -> 2 -> 1 -> 0
 }
 

@@ -1,11 +1,11 @@
 // Tests for the hierarchical/hybrid and multi-search extensions: hybrid
-// SSSP (message passing between ranks + shared memory inside), bit-parallel
-// multi-source BFS, and geolocation inference.
+// SSSP (message-passing SSSP with a shared-memory pool inside each rank),
+// bit-parallel multi-source BFS, and geolocation inference.
 #include <gtest/gtest.h>
 
 #include "algorithms/geo.hpp"
 #include "algorithms/msbfs.hpp"
-#include "algorithms/sssp_hybrid.hpp"
+#include "algorithms/sssp.hpp"
 #include "essentials.hpp"
 
 namespace e = essentials;
@@ -42,8 +42,9 @@ TEST(HybridSssp, MatchesDijkstraAcrossFamilies) {
   for (auto const family : {"rmat", "grid", "er"}) {
     auto const gr = make_weighted(family, 3);
     auto const want = e::algorithms::dijkstra(gr, 0).distances;
-    auto const got = e::algorithms::sssp_hybrid(gr, 0, /*ranks=*/3,
-                                                /*threads_per_rank=*/2)
+    auto const got = e::algorithms::sssp_message_passing(
+                         gr, 0, /*num_ranks=*/3, /*owner=*/{},
+                         /*threads_per_rank=*/2)
                          .distances;
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t v = 0; v < want.size(); ++v) {
@@ -61,8 +62,8 @@ TEST(HybridSssp, VariousRankAndThreadShapes) {
   for (auto const& [ranks, threads] :
        {std::pair{1, 4}, std::pair{2, 1}, std::pair{4, 2}}) {
     auto const got =
-        e::algorithms::sssp_hybrid(gr, 5, ranks,
-                                   static_cast<std::size_t>(threads))
+        e::algorithms::sssp_message_passing(
+            gr, 5, ranks, {}, static_cast<std::size_t>(threads))
             .distances;
     for (std::size_t v = 0; v < want.size(); ++v) {
       if (want[v] == e::infinity_v<float>) {
@@ -80,8 +81,8 @@ TEST(HybridSssp, PartitionDerivedOwnership) {
   auto const p = e::partition::partition_bfs_grow(gr.csr(), 3, 7);
   auto const want = e::algorithms::dijkstra(gr, 0).distances;
   auto const got =
-      e::algorithms::sssp_hybrid(gr, 0, 3, 2,
-                                 [&p](vertex_t v) { return p.part_of(v); })
+      e::algorithms::sssp_message_passing(
+          gr, 0, 3, [&p](vertex_t v) { return p.part_of(v); }, 2)
           .distances;
   for (std::size_t v = 0; v < want.size(); ++v)
     EXPECT_NEAR(got[v], want[v], 1e-3f) << v;

@@ -9,7 +9,6 @@
 #include "algorithms/sssp.hpp"
 #include "algorithms/sssp_async_mp.hpp"
 #include "algorithms/sssp_delta.hpp"
-#include "algorithms/sssp_hybrid.hpp"
 #include "core/execution.hpp"
 #include "generators/generators.hpp"
 #include "graph/graph.hpp"
@@ -94,8 +93,9 @@ TEST_P(SsspAllVariants, EveryVariantMatchesDijkstra) {
   expect_distances_equal(
       alg::sssp_delta_stepping(ex::par, graph, source).distances,
       oracle.distances, family + "/delta-stepping");
-  expect_distances_equal(alg::sssp_hybrid(graph, source, 2, 2).distances,
-                         oracle.distances, family + "/hybrid");
+  expect_distances_equal(
+      alg::sssp_message_passing(graph, source, 2, {}, 2).distances,
+      oracle.distances, family + "/hybrid");
   expect_distances_equal(alg::bellman_ford(graph, source).distances,
                          oracle.distances, family + "/bellman-ford");
 }
