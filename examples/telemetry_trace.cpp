@@ -2,8 +2,8 @@
 // algorithm shapes:
 //
 //  * direction-optimizing BFS — the trace shows the push->pull->push
-//    direction decisions the Beamer heuristic makes as frontier density
-//    rises and falls;
+//    direction decisions Beamer's rule makes as the frontier's edge work
+//    rises and its size falls;
 //  * SSSP (Bellman-Ford advance/filter) — frontier sizes swell and shrink
 //    across relaxation waves;
 //  * PageRank — a fixed-point program whose "frontier" is all of V every

@@ -8,11 +8,16 @@
 ///
 /// BFS is the paper's cleanest showcase for the push-vs-pull pillar
 /// (§III-C): push scans out-edges of the frontier (work ∝ frontier edges),
-/// pull scans in-edges of *unvisited* vertices (work ∝ unvisited edges).
-/// The direction-optimizing variant (Beamer et al.'s heuristic expressed in
-/// our abstraction) switches per superstep on frontier density — switching
-/// representation (sparse ↔ dense) at the same time, which is exactly the
-/// "multiple underlying representations behind one interface" claim.
+/// pull scans in-edges of *unvisited* vertices (work ∝ unvisited edges) —
+/// `advance_pull` skips the visited ones 64 at a time through the visited
+/// bitmap and marks the vertices it finds.  The direction-optimizing
+/// variant is Beamer et al.'s: `enactor::direction_loop` switches to pull
+/// when the frontier's out-edges exceed 1/alpha of the unvisited vertices'
+/// in-edges, back to push when the frontier thins below 1/beta of the
+/// vertices (or that alpha test fails again), and changes the frontier's
+/// representation (sparse <-> dense)
+/// with the direction — the "multiple underlying representations behind
+/// one interface" claim.
 
 #include <cstdint>
 #include <deque>
@@ -26,6 +31,7 @@
 #include "core/frontier/frontier.hpp"
 #include "core/operators/advance.hpp"
 #include "core/operators/advance_balanced.hpp"
+#include "core/operators/reduce.hpp"
 #include "core/telemetry.hpp"
 #include "core/types.hpp"
 #include "parallel/atomic_bitset.hpp"
@@ -54,6 +60,34 @@ bfs_result<typename G::vertex_type> make_bfs_state(
   return r;
 }
 
+/// The push condition: claim dst on the visited bitmap ("first visitor
+/// wins", which also deduplicates the output frontier), then settle it.
+template <typename V, typename E, typename W>
+auto claim_condition(parallel::atomic_bitset& visited, V* depths, V* parents,
+                     V depth) {
+  return [&visited, depths, parents, depth](V const src, V const dst,
+                                            E const /*e*/, W const /*w*/) {
+    if (!visited.test_and_set(static_cast<std::size_t>(dst)))
+      return false;  // someone else claimed dst
+    depths[dst] = depth;
+    parents[dst] = src;
+    return true;
+  };
+}
+
+/// The pull condition: `advance_pull` offers only unvisited destinations,
+/// each on the one lane that owns its bitmap word, and stops at the first
+/// parent, so settling needs no claim and no atomics.
+template <typename V, typename E, typename W>
+auto settle_condition(V* depths, V* parents, V depth) {
+  return [depths, parents, depth](V const src, V const dst, E const /*e*/,
+                                  W const /*w*/) {
+    depths[dst] = depth;
+    parents[dst] = src;
+    return true;
+  };
+}
+
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -71,9 +105,6 @@ bfs_result<typename G::vertex_type> bfs(P policy, G const& g,
   using E = typename G::edge_type;
   using W = typename G::weight_type;
   auto result = detail::make_bfs_state(g, source, "bfs: source out of range");
-  V* const depths = result.depths.data();
-  V* const parents = result.parents.data();
-
   parallel::atomic_bitset visited(
       static_cast<std::size_t>(g.get_num_vertices()));
   visited.set(static_cast<std::size_t>(source));
@@ -84,17 +115,11 @@ bfs_result<typename G::vertex_type> bfs(P policy, G const& g,
   auto const stats = enactor::bsp_loop(
       std::move(f),
       [&](frontier::sparse_frontier<V> in, std::size_t iteration) {
-        V const next_depth = static_cast<V>(iteration + 1);
         return operators::advance_balanced(
             policy, g, in,
-            [&visited, depths, parents, next_depth](
-                V const src, V const dst, E const /*e*/, W const /*w*/) {
-              if (!visited.test_and_set(static_cast<std::size_t>(dst)))
-                return false;  // someone else claimed dst
-              depths[dst] = next_depth;
-              parents[dst] = src;
-              return true;
-            });
+            detail::claim_condition<V, E, W>(visited, result.depths.data(),
+                                             result.parents.data(),
+                                             static_cast<V>(iteration + 1)));
       },
       enactor::frontier_empty{});
   result.iterations = stats.iterations;
@@ -106,8 +131,9 @@ bfs_result<typename G::vertex_type> bfs(P policy, G const& g,
 // ---------------------------------------------------------------------------
 
 /// Pull BFS: each unvisited vertex scans its in-edges for a parent in the
-/// current (dense) frontier; early-exit on the first hit.  Requires the
-/// CSC view.
+/// current (dense) frontier and stops at the first hit; `advance_pull`
+/// skips visited vertices 64 at a time through the visited bitmap and
+/// marks the ones it settles.  Requires the CSC view.
 template <typename P, typename G>
   requires execution::synchronous_policy<P> && (G::has_csc)
 bfs_result<typename G::vertex_type> bfs_pull(P policy, G const& g,
@@ -117,32 +143,23 @@ bfs_result<typename G::vertex_type> bfs_pull(P policy, G const& g,
   using W = typename G::weight_type;
   auto result =
       detail::make_bfs_state(g, source, "bfs_pull: source out of range");
-  V* const depths = result.depths.data();
-  V* const parents = result.parents.data();
-
   std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
+  parallel::atomic_bitset visited(n);
+  visited.set(static_cast<std::size_t>(source));
   frontier::dense_frontier<V> f(n);
   f.add_vertex(source);
 
   auto const stats = enactor::bsp_loop(
       std::move(f),
       [&](frontier::dense_frontier<V> in, std::size_t iteration) {
-        V const next_depth = static_cast<V>(iteration + 1);
         if (auto* const rec = telemetry::current())
           rec->set_direction(direction_t::pull, false, frontier::density(in));
-        // In the pull scan each dst is handled by exactly one lane, so the
-        // depth/parent writes need no atomics; the "unvisited" test makes
-        // the advance skip settled vertices wholesale.
         return operators::advance_pull<true>(
             policy, g, in,
-            [depths, parents, next_depth](V const src, V const dst,
-                                          E const /*e*/, W const /*w*/) {
-              if (depths[dst] != V{-1})
-                return false;
-              depths[dst] = next_depth;
-              parents[dst] = src;
-              return true;
-            });
+            detail::settle_condition<V, E, W>(result.depths.data(),
+                                              result.parents.data(),
+                                              static_cast<V>(iteration + 1)),
+            &visited);
       },
       enactor::frontier_empty{});
   result.iterations = stats.iterations;
@@ -153,20 +170,20 @@ bfs_result<typename G::vertex_type> bfs_pull(P policy, G const& g,
 // Direction-optimizing BSP
 // ---------------------------------------------------------------------------
 
-/// Tuning knobs for direction-optimizing BFS (Beamer-style).  Defaults
-/// follow the published heuristic shape: go pull when the frontier's edge
-/// work exceeds ~1/alpha of the remaining edge work; return to push when
-/// the frontier thins below 1/beta of the vertices.
-struct dobfs_options {
-  double alpha = 15.0;
-  double beta = 18.0;
-};
+/// Thresholds of Beamer et al.'s switch (`enactor::direction_switch`):
+/// `alpha` compares edge work — pull while the frontier's out-edges exceed
+/// 1/alpha of the unvisited vertices' in-edges; `beta` compares vertex
+/// counts — push again once the frontier holds fewer than 1/beta of the
+/// vertices.  Defaults 15 and 18, as in the GAP benchmark suite's BFS.
+struct dobfs_options : enactor::direction_switch {};
 
-/// Direction-optimizing BFS: starts push/sparse; when the frontier grows
-/// dense it converts the frontier representation (sparse -> dense) and
-/// switches to pull; when the frontier thins it converts back.  One
-/// algorithm, two operators, two frontier representations — the crossover
-/// machinery the abstraction exists to express.
+/// Direction-optimizing BFS: `enactor::direction_loop` with the push BFS
+/// step and the pull BFS step, sharing one visited bitmap.  The pull side's
+/// edge work is the in-edges of unvisited vertices: every vertex joins
+/// exactly one frontier, so subtracting each frontier's in-degrees as it
+/// appears keeps that count exact.  One algorithm, two operators, two
+/// frontier representations — the crossover machinery the abstraction
+/// exists to express.
 template <typename P, typename G>
   requires execution::synchronous_policy<P> && (G::has_csr && G::has_csc)
 bfs_result<typename G::vertex_type> bfs_direction_optimizing(
@@ -179,80 +196,35 @@ bfs_result<typename G::vertex_type> bfs_direction_optimizing(
       detail::make_bfs_state(g, source, "dobfs: source out of range");
   V* const depths = result.depths.data();
   V* const parents = result.parents.data();
-
-  std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
-  parallel::atomic_bitset visited(n);
+  parallel::atomic_bitset visited(
+      static_cast<std::size_t>(g.get_num_vertices()));
   visited.set(static_cast<std::size_t>(source));
 
-  frontier::sparse_frontier<V> sparse;
-  sparse.add_vertex(source);
-  frontier::dense_frontier<V> dense(n);
-  bool pulling = false;
-
-  telemetry::recorder* const rec = telemetry::current();
-  std::size_t iteration = 0;
-  std::size_t frontier_size = 1;
-  while (frontier_size != 0) {
-    V const next_depth = static_cast<V>(iteration + 1);
-    // Heuristic signal: frontier share of vertices.
-    double const density =
-        static_cast<double>(frontier_size) / static_cast<double>(n);
-    bool const want_pull = density > 1.0 / opt.alpha;
-    bool const want_push = density < 1.0 / opt.beta;
-
-    bool switched = false;
-    if (!pulling && want_pull) {
-      dense = frontier::to_dense(sparse, n);
-      pulling = true;
-      switched = true;
-    } else if (pulling && want_push && !want_pull) {
-      sparse = frontier::to_sparse(dense);
-      pulling = false;
-      switched = true;
-    }
-
-    // Telemetry: one superstep per level, carrying the direction decision
-    // the Beamer heuristic just made and the density it was based on.
-    if (rec) {
-      rec->begin_superstep(frontier_size,
-                           pulling ? direction_t::pull : direction_t::push);
-      rec->set_direction(pulling ? direction_t::pull : direction_t::push,
-                         switched, density);
-    }
-
-    if (pulling) {
-      dense = operators::advance_pull<true>(
-          policy, g, dense,
-          [depths, parents, next_depth](V const src, V const dst, E const,
-                                        W const) {
-            if (depths[dst] != V{-1})
-              return false;
-            depths[dst] = next_depth;
-            parents[dst] = src;
-            return true;
-          });
-      // Keep the visited bitmap coherent for a later return to push.
-      dense.for_each_active(
-          [&visited](V v) { visited.set(static_cast<std::size_t>(v)); });
-      frontier_size = dense.size();
-    } else {
-      sparse = operators::advance_balanced(
-          policy, g, sparse,
-          [&visited, depths, parents, next_depth](V const src, V const dst,
-                                                  E const, W const) {
-            if (!visited.test_and_set(static_cast<std::size_t>(dst)))
-              return false;
-            depths[dst] = next_depth;
-            parents[dst] = src;
-            return true;
-          });
-      frontier_size = sparse.size();
-    }
-    if (rec)
-      rec->end_superstep(frontier_size);
-    ++iteration;
-  }
-  result.iterations = iteration;
+  auto const in_degree = [&g](V v) {
+    return static_cast<std::size_t>(g.get_in_degree(v));
+  };
+  auto unvisited_in_edges = static_cast<std::size_t>(g.get_num_edges());
+  auto const stats = enactor::direction_loop(
+      policy, g, frontier::sparse_frontier<V>(std::vector<V>{source}), opt,
+      [&](frontier::sparse_frontier<V> in, std::size_t iteration) {
+        return operators::advance_balanced(
+            policy, g, in,
+            detail::claim_condition<V, E, W>(visited, depths, parents,
+                                             static_cast<V>(iteration + 1)));
+      },
+      [&](frontier::dense_frontier<V> in, std::size_t iteration) {
+        return operators::advance_pull<true>(
+            policy, g, in,
+            detail::settle_condition<V, E, W>(depths, parents,
+                                              static_cast<V>(iteration + 1)),
+            &visited);
+      },
+      [&](auto const& frontier) {
+        unvisited_in_edges -= operators::reduce(
+            policy, frontier, std::size_t{0}, in_degree, std::plus<>{});
+        return unvisited_in_edges;
+      });
+  result.iterations = stats.iterations;
   return result;
 }
 

@@ -22,6 +22,7 @@
 #include "core/operators/compute.hpp"
 #include "core/types.hpp"
 #include "generators/random.hpp"
+#include "parallel/atomics.hpp"
 
 namespace essentials::algorithms {
 
@@ -53,22 +54,30 @@ mis_result<typename G::vertex_type> maximal_independent_set(
   std::vector<V> undecided(n);
   std::iota(undecided.begin(), undecided.end(), V{0});
 
+  // Each lane writes only its own vertices' states but reads its
+  // neighbours', which their lanes write in the same phase: every
+  // cross-lane access goes through atomic::load / atomic::store.
   while (!undecided.empty()) {
     frontier::sparse_frontier<V> f(undecided);
-    // Phase 1: local maxima among undecided vertices join the set.
+    // Phase 1: local maxima among undecided vertices join the set.  A
+    // neighbour seen joining this round outranks v, so v would lose on
+    // priority anyway: the set does not depend on the lanes' timing.
     operators::compute(policy, f, [&](V v) {
       for (auto const e : g.get_edges(v)) {
         V const nb = g.get_dest_vertex(e);
-        if (nb == v || st[nb] == 2)
+        if (nb == v)
           continue;
-        if (st[nb] == 1)
+        char const state_nb = atomic::load(&st[nb]);
+        if (state_nb == 2)
+          continue;
+        if (state_nb == 1)
           return;  // a neighbor already won: we can never join
         auto const pv = priority[static_cast<std::size_t>(v)];
         auto const pn = priority[static_cast<std::size_t>(nb)];
         if (pn > pv || (pn == pv && nb > v))
           return;
       }
-      st[v] = 1;
+      atomic::store(&st[v], char{1});
     });
     // Phase 2: neighbors of winners are excluded.  Winners form an
     // independent set, so the two phases cannot race on the same vertex.
@@ -76,8 +85,8 @@ mis_result<typename G::vertex_type> maximal_independent_set(
       if (st[v] != 0)
         return;
       for (auto const e : g.get_edges(v)) {
-        if (st[g.get_dest_vertex(e)] == 1) {
-          st[v] = 2;
+        if (atomic::load(&st[g.get_dest_vertex(e)]) == 1) {
+          atomic::store(&st[v], char{2});
           return;
         }
       }

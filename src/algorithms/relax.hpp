@@ -12,9 +12,10 @@
 /// and one loop per timing/communication model of PAPER.md Table I:
 ///  - `relax_bsp` — bulk-synchronous from a seed set: advance (load
 ///    balanced per `policy.balance`), uniquify, repeat until the frontier
-///    is empty.  Cold runs seed the source (every vertex for CC); warm
-///    runs (algorithms/incremental.hpp) seed the delta's endpoints over
-///    the previous epoch's values.
+///    is empty; on graphs with a CSC view, dense supersteps pull instead
+///    (`enactor::direction_loop`).  Cold runs seed the source (every
+///    vertex for CC); warm runs (algorithms/incremental.hpp) seed the
+///    delta's endpoints over the previous epoch's values.
 ///  - `relax_async` — an asynchronous queue with no supersteps; workers
 ///    relax popped vertices and queue what they improve until quiescence.
 ///  - `relax_message_passing` — BSP across mpsim ranks: (vertex, value)
@@ -42,6 +43,7 @@
 #include "core/enactor.hpp"
 #include "core/execution.hpp"
 #include "core/frontier/frontier.hpp"
+#include "core/operators/advance.hpp"
 #include "core/operators/advance_balanced.hpp"
 #include "core/operators/filter.hpp"
 #include "core/types.hpp"
@@ -148,21 +150,39 @@ frontier::sparse_frontier<typename G::vertex_type> relax_step(
 // Bulk-synchronous loop
 // ---------------------------------------------------------------------------
 
-/// Bulk-synchronous relaxation from `seeds` (their values already set):
-/// one `relax_step` per superstep until no relaxation improves anything.
-/// `cond` is `min_plus_condition` or any condition with its contract
-/// (keep dst iff this call improved it).
+/// Bulk-synchronous relaxation from `seeds` (their values already set)
+/// until no relaxation improves anything.  `cond` is `min_plus_condition`
+/// or any condition with its contract (keep dst iff this call improved
+/// it); the contract holds in either direction, so on a graph with a CSC
+/// view the loop is `enactor::direction_loop`: a sparse superstep is a
+/// push `relax_step`, a dense one pulls every vertex's in-edges through
+/// the same condition (`advance_pull` with no candidate set, since any
+/// value can improve again), and Beamer's switch picks the direction with
+/// every in-edge as the pull side's work.  Graphs with only a CSR view
+/// (`graph_csr`, the compressed and the partitioned graph) push every
+/// superstep.
 template <typename P, typename G, typename Cond>
   requires execution::synchronous_policy<P>
 enactor::enact_stats relax_bsp(P policy, G const& g,
                                std::vector<typename G::vertex_type> seeds,
                                Cond cond) {
   using V = typename G::vertex_type;
-  return enactor::bsp_loop(
-      frontier::sparse_frontier<V>(std::move(seeds)),
-      [&](frontier::sparse_frontier<V> in, std::size_t /*iteration*/) {
-        return detail::relax_step(policy, g, in, cond);
-      });
+  frontier::sparse_frontier<V> f(std::move(seeds));
+  auto const push = [&](frontier::sparse_frontier<V> in,
+                        std::size_t /*iteration*/) {
+    return detail::relax_step(policy, g, in, cond);
+  };
+  if constexpr (G::has_csr && G::has_csc) {
+    auto const m = static_cast<std::size_t>(g.get_num_edges());
+    return enactor::direction_loop(
+        policy, g, std::move(f), enactor::direction_switch{}, push,
+        [&](frontier::dense_frontier<V> in, std::size_t /*iteration*/) {
+          return operators::advance_pull<false>(policy, g, in, cond);
+        },
+        [m](auto const& /*frontier*/) { return m; });
+  } else {
+    return enactor::bsp_loop(std::move(f), push);
+  }
 }
 
 // ---------------------------------------------------------------------------

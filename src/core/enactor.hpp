@@ -6,12 +6,15 @@
 /// condition(s) to organize and schedule the computation and completion of
 /// a graph algorithm."
 ///
-/// Two drivers, one per timing model:
+/// Drivers, one per timing model, plus the direction-optimizing BSP loop:
 ///  - `bsp_loop`: Listing 4's `while (f.size() != 0)` generalized — run a
 ///    user step (advance/filter/compute composition) per superstep until a
 ///    convergence condition fires.  The step itself decides which operators
-///    and policies to use, so the same loop hosts push, pull and
-///    direction-optimizing algorithms.
+///    and policies to use, so the same loop hosts push and pull algorithms.
+///  - `direction_loop`: the BSP loop with a push step and a pull step and
+///    Beamer et al.'s switch (`direction_switch`) choosing one per
+///    superstep — direction-optimizing BFS and the min-plus program's
+///    `relax_bsp` (algorithms/relax.hpp) both run on it.
 ///  - `async_loop`: no supersteps — a crew of consumers pops active
 ///    vertices from an asynchronous queue frontier until quiescence (or an
 ///    optional stop predicate closes the queue).
@@ -20,23 +23,27 @@
 /// (binary) and `any_of` (variadic) compose them ("empty frontier OR
 /// iteration cap"), mirroring how real systems bound runaway algorithms.
 ///
-/// Both drivers feed the telemetry layer (core/telemetry.hpp): when a
-/// `telemetry::scoped_recording` is active on the enacting thread,
-/// `bsp_loop` opens one superstep record per iteration (frontier sizes,
-/// wall time) and the operators invoked by the step fill in work counts.
+/// The drivers feed the telemetry layer (core/telemetry.hpp): when a
+/// `telemetry::scoped_recording` is active on the enacting thread, the BSP
+/// loops open one superstep record per iteration (frontier sizes, wall
+/// time, direction) and the operators invoked by the step fill in work
+/// counts.
 /// Without a recording scope — or with telemetry compiled out — the hooks
 /// are a folded-away null check.
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "core/execution.hpp"
 #include "core/frontier/frontier.hpp"
+#include "core/operators/reduce.hpp"
 #include "core/telemetry.hpp"
 #include "core/types.hpp"
 
@@ -257,6 +264,119 @@ enact_stats bsp_loop(FrontierT frontier, StepF step,
     stats.total_emitted += out_size;
     if (rec)
       rec->end_superstep(out_size);
+  }
+  stats.millis = std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+  return stats;
+}
+
+// ---------------------------------------------------------------------------
+// Direction-optimizing driver
+// ---------------------------------------------------------------------------
+
+/// The push/pull switch of Beamer, Asanović and Patterson
+/// ("Direction-Optimizing Breadth-First Search", SC'12), written once for
+/// every loop that can run a superstep in either direction:
+///  - push -> pull when the frontier's out-edges (the next push step's
+///    work) exceed the pull side's edge work divided by `alpha` — alpha
+///    compares *edge* work;
+///  - pull -> push when the frontier falls below |V| / `beta` vertices —
+///    beta compares *vertex* counts — or when the alpha test that started
+///    the pull fails again.
+/// The pull side's edge work is the program's: the in-edges of unvisited
+/// vertices for BFS, every in-edge for the min-plus program, whose values
+/// can improve again (algorithms/relax.hpp).  The second pull -> push test
+/// is the min-plus program's: its pull work never shrinks, so a tail
+/// frontier of low-degree vertices — above |V| / beta but holding a few
+/// percent of the edges — would otherwise pull every in-edge to relax a
+/// handful.  For BFS the pull work shrinks as vertices settle, so the
+/// alpha test keeps holding while the frontier is dense.
+struct direction_switch {
+  double alpha = 15.0;
+  double beta = 18.0;
+
+  /// Whether the next superstep pulls, given whether the last one pulled
+  /// and the frontier it produced.
+  bool pull(bool pulling, std::size_t frontier_vertices,
+            std::size_t frontier_edges, std::size_t pull_edges,
+            std::size_t num_vertices) const {
+    bool const edge_work_favours_pull =
+        static_cast<double>(frontier_edges) >
+        static_cast<double>(pull_edges) / alpha;
+    if (!pulling)
+      return edge_work_favours_pull;
+    return edge_work_favours_pull &&
+           static_cast<double>(frontier_vertices) >=
+               static_cast<double>(num_vertices) / beta;
+  }
+};
+
+/// Direction-optimizing BSP loop: Listing 4's loop with two steps — `push`
+/// maps a sparse frontier to the next sparse frontier, `pull` a dense one
+/// to the next dense one — and `rule` choosing between them before every
+/// superstep.  The frontier changes representation on the policy's pool
+/// when the direction changes, never in a serial pass.
+///
+/// `pull_edges(frontier)` is called with the seeds and with every frontier
+/// a step returns (sparse or dense), and answers the pull side's edge work
+/// for the rule; it may keep a running count (BFS subtracts each new
+/// frontier's in-edges).  Runs until the frontier is empty.  With a
+/// recording scope active, each superstep record carries its direction,
+/// whether it switched, and the frontier's density.
+template <typename P, typename G, typename PushF, typename PullF,
+          typename PullEdgesF>
+  requires execution::synchronous_policy<P> && (G::has_csr && G::has_csc)
+enact_stats direction_loop(P policy, G const& g,
+                           frontier::sparse_frontier<typename G::vertex_type>
+                               seeds,
+                           direction_switch rule, PushF push, PullF pull,
+                           PullEdgesF pull_edges) {
+  using V = typename G::vertex_type;
+  std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
+  auto const out_degree = [&g](V v) {
+    return static_cast<std::size_t>(g.get_out_degree(v));
+  };
+  enact_stats stats;
+  telemetry::recorder* const rec = telemetry::current();
+  auto const start = std::chrono::steady_clock::now();
+  frontier::sparse_frontier<V> sparse(std::move(seeds));
+  frontier::dense_frontier<V> dense;
+  bool pulling = false;
+  std::size_t size = sparse.size();
+  std::size_t work = pull_edges(sparse);
+  while (size != 0) {
+    if (rec)  // the record's time includes the decision and any conversion
+      rec->begin_superstep(size);
+    bool const pulled = pulling;
+    std::size_t const frontier_edges =
+        pulled ? operators::reduce(policy, dense, std::size_t{0}, out_degree,
+                                   std::plus<>{})
+               : operators::reduce(policy, sparse, std::size_t{0}, out_degree,
+                                   std::plus<>{});
+    pulling = rule.pull(pulled, size, frontier_edges, work, n);
+    if (pulling && !pulled)
+      dense = frontier::to_dense(policy, sparse, n);
+    else if (!pulling && pulled)
+      sparse = frontier::to_sparse(policy, dense);
+    if (rec)
+      rec->set_direction(pulling ? direction_t::pull : direction_t::push,
+                         pulling != pulled,
+                         static_cast<double>(size) / static_cast<double>(n));
+    stats.total_processed += size;
+    if (pulling) {
+      dense = pull(std::move(dense), stats.iterations);
+      size = dense.size();
+      work = pull_edges(dense);
+    } else {
+      sparse = push(std::move(sparse), stats.iterations);
+      size = sparse.size();
+      work = pull_edges(sparse);
+    }
+    ++stats.iterations;
+    stats.total_emitted += size;
+    if (rec)
+      rec->end_superstep(size);
   }
   stats.millis = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - start)

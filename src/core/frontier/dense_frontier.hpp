@@ -12,6 +12,7 @@
 /// neighbor active?").
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/types.hpp"
@@ -65,6 +66,12 @@ class dense_frontier {
   /// a BFS filter uses to deduplicate for free.
   bool try_add_vertex(T v) {
     return bits_.test_and_set(static_cast<std::size_t>(v));
+  }
+
+  /// Activate the ids of word `wi` whose bit `bits` has set, in one atomic
+  /// OR — how a pull step publishes the 64 vertices it owns.
+  void add_word(std::size_t wi, std::uint64_t bits) {
+    bits_.set_word_bits(wi, bits);
   }
 
   void remove_vertex(T v) { bits_.reset(static_cast<std::size_t>(v)); }

@@ -18,7 +18,8 @@
 ///    `par_nosync` (pool, no barrier — caller owns synchronization).
 ///  - direction: `advance_push` walks out-edges via CSR;
 ///    `advance_pull` walks in-edges via CSC, asking whether any *active*
-///    predecessor satisfies the condition.
+///    predecessor satisfies the condition — for every vertex, or only for
+///    the vertices outside a `visited` bitmap (BFS's bottom-up step).
 ///  - representation: sparse -> sparse, sparse -> dense, dense -> dense.
 ///
 /// Sparse-output generation is itself a policy axis
@@ -43,7 +44,9 @@
 /// the cross-direction invariant the differential suite
 /// (tests/test_differential.cpp) asserts.
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/execution.hpp"
@@ -350,13 +353,24 @@ frontier::dense_frontier<typename G::vertex_type> advance_push(
 // Pull advance (CSC)
 // ---------------------------------------------------------------------------
 
-/// Pull advance: every vertex of the graph scans its *in*-edges and asks
+/// Pull advance: every candidate vertex scans its *in*-edges and asks
 /// whether an active predecessor satisfies the condition; if so the vertex
 /// joins the output frontier.  The input must support O(1) membership
 /// (dense frontier).  `early_exit` stops scanning a vertex's in-edges at
 /// the first hit — correct for BFS-like "any parent" programs; keep false
 /// for programs that must see every incident active edge (e.g. pull SSSP
 /// relaxations).
+///
+/// Candidates (Beamer et al.'s bottom-up step): the operator walks the
+/// vertices one bitmap word (64 ids) at a time, and each word is owned by
+/// one lane.  With `visited` null every vertex is a candidate — the
+/// min-plus program, whose values can improve again.  With `visited`
+/// given, the candidates are its complement: a word whose vertices are all
+/// visited is skipped without reading an in-edge, the condition is never
+/// evaluated for a visited destination, and the vertices a word activates
+/// are marked in `visited` by the same word store that publishes them.  So
+/// the pull's work follows the unvisited in-edges, and `visited` needs no
+/// pass after the step to stay current.
 ///
 /// Output invariant: a vertex is activated through the public frontier API
 /// exactly once, no matter how many of its in-edges relax — the condition
@@ -370,40 +384,86 @@ template <bool early_exit = false, typename P, typename G, typename Cond>
            (G::has_csc)
 frontier::dense_frontier<typename G::vertex_type> advance_pull(
     P policy, G const& g,
-    frontier::dense_frontier<typename G::vertex_type> const& in, Cond cond) {
+    frontier::dense_frontier<typename G::vertex_type> const& in, Cond cond,
+    parallel::atomic_bitset* visited = nullptr) {
   using V = typename G::vertex_type;
+  using E = typename G::edge_type;
   std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
   auto const probe =
       telemetry::make_probe("advance_pull", policy, telemetry::probe_items(in));
   frontier::dense_frontier<V> out(n);
-  auto const body = [&](std::size_t vi) {
-    V const v = static_cast<V>(vi);
+  std::size_t const num_words = (n + 63) / 64;
+  // Whether an in-edge's source is active is a coin flip while the
+  // frontier holds up to about half the vertices, and nearly certain once
+  // it holds most of them (the hubs are among them).  Without early exit
+  // every active in-edge runs the condition, so a scan from such a frontier
+  // gathers the active in-edges 64 at a time with no branch on membership
+  // and then runs the condition over them; otherwise it branches per edge.
+  bool const gather = !early_exit && 2 * in.size() <= n;
+  auto const word_body = [&](std::size_t wi) {
+    std::uint64_t candidates = ~std::uint64_t{0};
+    if (wi + 1 == num_words && n % 64 != 0)
+      candidates = (std::uint64_t{1} << (n % 64)) - 1;  // ids past n
+    if (visited != nullptr)
+      candidates &= ~visited->load_word(wi);
+    std::uint64_t hits = 0;
     std::size_t inspected = 0, relaxed = 0;
-    bool added = false;
-    for (auto const e : g.get_in_edges(v)) {
-      V const u = g.get_in_source_vertex(e);
-      if (!in.contains(u))
-        continue;
-      auto const w = g.get_in_edge_weight(e);
-      ++inspected;
-      if (cond(u, v, e, w)) {
-        ++relaxed;
-        if (!added) {
-          out.add_vertex(v);
-          added = true;
+    while (candidates != 0) {
+      unsigned const b = static_cast<unsigned>(__builtin_ctzll(candidates));
+      candidates &= candidates - 1;
+      V const v = static_cast<V>(wi * 64 + b);
+      if (!gather) {
+        for (auto const e : g.get_in_edges(v)) {
+          V const u = g.get_in_source_vertex(e);
+          if (!in.contains(u))
+            continue;
+          ++inspected;
+          if (cond(u, v, e, g.get_in_edge_weight(e))) {
+            ++relaxed;
+            hits |= std::uint64_t{1} << b;
+            if constexpr (early_exit)
+              break;
+          }
         }
-        if constexpr (early_exit)
-          break;
+        continue;
       }
+      if constexpr (!early_exit) {
+        auto const edges = g.get_in_edges(v);
+        for (auto it = edges.begin(); it != edges.end();) {
+          E active[64];
+          std::size_t k = 0;
+          for (; it != edges.end() && k < 64; ++it) {
+            active[k] = *it;
+            k += in.contains(g.get_in_source_vertex(*it)) ? 1 : 0;
+          }
+          inspected += k;
+          for (std::size_t i = 0; i < k; ++i) {
+            E const e = active[i];
+            if (cond(g.get_in_source_vertex(e), v, e,
+                     g.get_in_edge_weight(e))) {
+              ++relaxed;
+              hits |= std::uint64_t{1} << b;
+            }
+          }
+        }
+      }
+    }
+    if (hits != 0) {
+      out.add_word(wi, hits);
+      if (visited != nullptr)
+        visited->set_word_bits(wi, hits);
     }
     probe.add_edges(inspected, relaxed);
   };
   if constexpr (std::decay_t<P>::is_parallel) {
-    parallel::parallel_for(policy.pool(), std::size_t{0}, n, body,
-                           policy.edge_grain);
+    // A word is 64 vertices, so the per-word grain divides the (vertex)
+    // advance grain by 64, floored at 1 — as in the dense push above.
+    parallel::parallel_for(policy.pool(), std::size_t{0}, num_words,
+                           word_body,
+                           std::max<std::size_t>(policy.edge_grain / 64, 1));
   } else {
-    for (std::size_t vi = 0; vi < n; ++vi)
-      body(vi);
+    for (std::size_t wi = 0; wi < num_words; ++wi)
+      word_body(wi);
   }
   if (probe)
     probe.set_items_out(out.size());

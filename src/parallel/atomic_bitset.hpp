@@ -69,6 +69,13 @@ class atomic_bitset {
         mask(i), std::memory_order_acq_rel);
   }
 
+  /// Atomically set every bit of word `wi` that `bits` has set (ids
+  /// wi*64 .. wi*64+63) — one read-modify-write for up to 64 ids.
+  void set_word_bits(std::size_t wi, std::uint64_t bits) {
+    std::atomic_ref<std::uint64_t>(words_[wi]).fetch_or(
+        bits, std::memory_order_acq_rel);
+  }
+
   /// Atomically clear bit i.
   void reset(std::size_t i) {
     std::atomic_ref<std::uint64_t>(word(i)).fetch_and(

@@ -383,3 +383,19 @@ TEST(AsyncLoop, StoppableVariantRunsToQuiescenceWhenNeverStopped) {
   EXPECT_EQ(processed, 25u);
   EXPECT_EQ(count.load(), 25);
 }
+
+// Beamer's switch: alpha compares edge work, beta vertex counts; a pull
+// ends below |V| / beta vertices or once the alpha test fails again.
+TEST(DirectionSwitch, AlphaComparesEdgesBetaComparesVertices) {
+  en::direction_switch const rule;  // alpha 15, beta 18
+  std::size_t const n = 1800, pull_edges = 15000;
+  // Pushing: pull once the frontier's out-edges exceed 15000 / 15 = 1000,
+  // however few vertices carry them.
+  EXPECT_FALSE(rule.pull(false, 4, 1000, pull_edges, n));
+  EXPECT_TRUE(rule.pull(false, 4, 1001, pull_edges, n));
+  // Pulling: stay while the frontier holds at least 1800 / 18 = 100
+  // vertices and its out-edges still pass the alpha test.
+  EXPECT_TRUE(rule.pull(true, 100, 1001, pull_edges, n));
+  EXPECT_FALSE(rule.pull(true, 99, 5000, pull_edges, n));
+  EXPECT_FALSE(rule.pull(true, 900, 1000, pull_edges, n));
+}

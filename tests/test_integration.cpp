@@ -182,6 +182,10 @@ TEST_F(TableOneCells, ExecutionPushVsPull) {
   EXPECT_EQ(e::algorithms::bfs(e::execution::par, graph(), 0).depths, serial);
   EXPECT_EQ(e::algorithms::bfs_pull(e::execution::par, graph(), 0).depths,
             serial);
+  EXPECT_EQ(e::algorithms::bfs_direction_optimizing(e::execution::par,
+                                                    graph(), 0)
+                .depths,
+            serial);
 }
 
 TEST_F(TableOneCells, PartitioningRandomAndMetisLike) {

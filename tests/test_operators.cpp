@@ -183,6 +183,59 @@ TEST(AdvancePull, SeqMatchesPar) {
   EXPECT_EQ(s.to_vector(), p.to_vector());
 }
 
+// Given a visited bitmap, the candidates are its complement: the condition
+// never runs for a visited destination (a whole visited word included),
+// and what activates is marked visited by the operator itself.
+template <typename P>
+void expect_pull_skips_visited(P policy) {
+  auto const graph = rmat_graph(9);
+  auto const n = static_cast<std::size_t>(graph.get_num_vertices());
+  fr::dense_frontier<vertex_t> in(n);
+  for (std::size_t v = 0; v < n; v += 3)
+    in.add_vertex(static_cast<vertex_t>(v));
+  essentials::parallel::atomic_bitset visited(n);
+  std::vector<bool> was_visited(n, false);
+  for (std::size_t v = 0; v < n; ++v)
+    if (v % 5 == 0 || (v >= 64 && v < 128)) {
+      visited.set(v);
+      was_visited[v] = true;
+    }
+
+  std::vector<std::atomic<int>> evaluated(n);
+  auto const counting = [&evaluated](vertex_t, vertex_t dst, edge_t,
+                                     weight_t) {
+    evaluated[static_cast<std::size_t>(dst)].fetch_add(
+        1, std::memory_order_relaxed);
+    return true;
+  };
+  auto const out = op::advance_pull<true>(policy, graph, in, counting,
+                                          &visited);
+  auto const unrestricted = op::advance_pull<true>(policy, graph, in, always);
+
+  std::size_t activated = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    auto const id = static_cast<vertex_t>(v);
+    if (was_visited[v]) {
+      EXPECT_EQ(evaluated[v].load(), 0) << "visited vertex " << v;
+      EXPECT_FALSE(out.contains(id)) << v;
+    } else {
+      EXPECT_EQ(out.contains(id), unrestricted.contains(id)) << v;
+      EXPECT_LE(evaluated[v].load(), 1) << v;  // early exit: one parent
+    }
+    EXPECT_EQ(visited.test(v), was_visited[v] || out.contains(id)) << v;
+    activated += out.contains(id) ? 1 : 0;
+  }
+  EXPECT_GT(activated, 0u);
+}
+
+TEST(AdvancePull, VisitedBitmapExcludesDestinationsSeq) {
+  expect_pull_skips_visited(ex::seq);
+}
+
+TEST(AdvancePull, VisitedBitmapExcludesDestinationsPar) {
+  expect_pull_skips_visited(ex::par);
+}
+
 // --- edge-centric ---------------------------------------------------------------
 
 TEST(AdvanceEdges, ExpandAndConsumeEdgeFrontier) {
