@@ -30,7 +30,6 @@
 #include "core/execution.hpp"
 #include "core/frontier/frontier.hpp"
 #include "core/operators/advance.hpp"
-#include "core/operators/advance_balanced.hpp"
 #include "core/operators/reduce.hpp"
 #include "core/telemetry.hpp"
 #include "core/types.hpp"
@@ -115,7 +114,7 @@ bfs_result<typename G::vertex_type> bfs(P policy, G const& g,
   auto const stats = enactor::bsp_loop(
       std::move(f),
       [&](frontier::sparse_frontier<V> in, std::size_t iteration) {
-        return operators::advance_balanced(
+        return operators::advance_push(
             policy, g, in,
             detail::claim_condition<V, E, W>(visited, result.depths.data(),
                                              result.parents.data(),
@@ -207,7 +206,7 @@ bfs_result<typename G::vertex_type> bfs_direction_optimizing(
   auto const stats = enactor::direction_loop(
       policy, g, frontier::sparse_frontier<V>(std::vector<V>{source}), opt,
       [&](frontier::sparse_frontier<V> in, std::size_t iteration) {
-        return operators::advance_balanced(
+        return operators::advance_push(
             policy, g, in,
             detail::claim_condition<V, E, W>(visited, depths, parents,
                                              static_cast<V>(iteration + 1)));

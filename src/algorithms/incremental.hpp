@@ -13,7 +13,7 @@
 /// the delta's source endpoints instead re-derives only the cone the new
 /// edges actually improve — usually a few supersteps over a few vertices.
 /// Warm and cold runs are the same loop, `relax_bsp` (algorithms/relax.hpp),
-/// with different seeds, so both honour `policy.balance` alike.
+/// with different seeds.
 ///
 /// Correctness argument (the reason warm results are bit-identical to
 /// cold): seed the frontier with every delta-record source endpoint whose

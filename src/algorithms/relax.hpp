@@ -10,12 +10,12 @@
 /// where the cost is the edge weight (SSSP), 0 (CC labels) or 1 (BFS
 /// hops).  This header holds the program once, as `min_plus_condition`,
 /// and one loop per timing/communication model of PAPER.md Table I:
-///  - `relax_bsp` — bulk-synchronous from a seed set: advance (load
-///    balanced per `policy.balance`), uniquify, repeat until the frontier
-///    is empty; on graphs with a CSC view, dense supersteps pull instead
-///    (`enactor::direction_loop`).  Cold runs seed the source (every
-///    vertex for CC); warm runs (algorithms/incremental.hpp) seed the
-///    delta's endpoints over the previous epoch's values.
+///  - `relax_bsp` — bulk-synchronous from a seed set: advance, uniquify,
+///    repeat until the frontier is empty; on graphs with a CSC view, dense
+///    supersteps pull instead (`enactor::direction_loop`).  Cold runs seed
+///    the source (every vertex for CC); warm runs
+///    (algorithms/incremental.hpp) seed the delta's endpoints over the
+///    previous epoch's values.
 ///  - `relax_async` — an asynchronous queue with no supersteps; workers
 ///    relax popped vertices and queue what they improve until quiescence.
 ///  - `relax_message_passing` — BSP across mpsim ranks: (vertex, value)
@@ -44,7 +44,6 @@
 #include "core/execution.hpp"
 #include "core/frontier/frontier.hpp"
 #include "core/operators/advance.hpp"
-#include "core/operators/advance_balanced.hpp"
 #include "core/operators/filter.hpp"
 #include "core/types.hpp"
 #include "mpsim/communicator.hpp"
@@ -138,7 +137,7 @@ frontier::sparse_frontier<typename G::vertex_type> relax_step(
     P policy, G const& g,
     frontier::sparse_frontier<typename G::vertex_type> const& in,
     Cond const& cond) {
-  auto out = operators::advance_balanced(policy, g, in, cond);
+  auto out = operators::advance_push(policy, g, in, cond);
   uniquify_vertices(policy, out,
                     static_cast<std::size_t>(g.get_num_vertices()));
   return out;

@@ -8,7 +8,7 @@
 /// Variants (all but the pull scan and the baselines seed a loop of
 /// algorithms/relax.hpp with the source and the weight cost):
 ///  - `sssp` (push, BSP, shared memory): Listing 4 — `relax_bsp`.
-///    Policy-parameterized, load balanced per `policy.balance`.
+///    Policy-parameterized.
 ///  - `sssp_pull` (pull, BSP): dense frontiers over the CSC view.
 ///  - `sssp_async` (asynchronous, shared memory): `relax_async`; no
 ///    barriers anywhere, convergence by quiescence.

@@ -67,54 +67,6 @@ enum class frontier_gen : unsigned char { scan, listing3 };
 ///                    must never ride a batch's convergence tail).
 enum class batch : unsigned char { fused, independent };
 
-/// Work-decomposition strategy for the advance family — the load-balancing
-/// axis the paper's §IV-C singles out ("this is where the bulk of
-/// optimizations can be introduced").  Power-law frontiers swing between
-/// "millions of low-degree vertices" and "a handful of celebrity hubs"
-/// within one traversal, and no single decomposition wins both shapes:
-///
-///  - `thread_mapped` — vertices are the unit of work (Listing 3's natural
-///                      mapping; the default).  Cheapest when degrees are
-///                      uniform; one hub serializes a lane.
-///  - `edge_balanced` — edges are the unit of work: exclusive-scan the
-///                      frontier's degrees, split [0, W) into equal chunks,
-///                      binary-search each chunk's starting vertex.  Immune
-///                      to skew; pays a scan + search on every superstep.
-///  - `degree_class`  — TWC-style triage: one pass buckets the frontier by
-///                      degree; small vertices stay thread-mapped, medium
-///                      ones go edge-balanced, huge hubs are expanded
-///                      cooperatively by all lanes.  Skew immunity without
-///                      a full scan when only a few hubs cause it.
-///  - `auto_select`   — pick per superstep from the frontier's size, its
-///                      estimated edge work and the graph's cached max/mean
-///                      degree ratio (graph/properties.hpp); the decision is
-///                      recorded in telemetry (schema v7).
-///
-/// Every strategy computes the same function as `advance_push` — only the
-/// decomposition changes (the differential suite pins this).  Dispatched by
-/// `operators::advance_balanced`; `with_load_balance` composes like every
-/// other policy builder.
-enum class load_balance : unsigned char {
-  thread_mapped,
-  edge_balanced,
-  degree_class,
-  auto_select
-};
-
-inline constexpr char const* to_string(load_balance lb) {
-  switch (lb) {
-    case load_balance::thread_mapped:
-      return "thread_mapped";
-    case load_balance::edge_balanced:
-      return "edge_balanced";
-    case load_balance::degree_class:
-      return "degree_class";
-    case load_balance::auto_select:
-      return "auto_select";
-  }
-  return "unknown";
-}
-
 /// Grain heuristic, documented once here and applied by every advance-family
 /// operator: `grain` bounds scheduling overhead for *element-wise* bodies
 /// (compute/filter/reduce touch O(1) state per index, so 256 indices
@@ -127,14 +79,6 @@ inline constexpr char const* to_string(load_balance lb) {
 /// unusually small.
 inline constexpr std::size_t default_grain = 256;
 inline constexpr std::size_t default_edge_grain = 16;
-
-/// Floor (in edges) for the chunk size of edge-balanced decompositions: the
-/// binary search that locates a chunk's starting vertex amortizes over the
-/// chunk's edges, so tiny grains would shred that amortization.  One shared
-/// constant — every edge-domain strategy (edge_balanced pass 2, the
-/// degree-class medium bucket, cooperative hub expansion and the
-/// edge-balanced neighbor reduce) floors its grain at this value.
-inline constexpr std::size_t default_edge_grain_floor = 64;
 
 /// Sequential policy: run in the invoking thread.
 struct sequenced_policy {
@@ -165,11 +109,6 @@ class parallel_policy {
   /// Sparse-frontier generation strategy (see `frontier_gen`).
   frontier_gen frontier = frontier_gen::scan;
 
-  /// Work-decomposition strategy for `operators::advance_balanced` (see
-  /// `load_balance`).  `thread_mapped` preserves the historical advance
-  /// behavior; `auto_select` re-decides every superstep.
-  load_balance balance = load_balance::thread_mapped;
-
   /// When true, advance suppresses duplicate vertices in sparse outputs via
   /// an atomic claim bitmap over |V| — the output becomes a *set*.  Off by
   /// default because Listing 3/4 semantics are a multiset; turn on for
@@ -197,11 +136,6 @@ class parallel_policy {
   parallel_policy with_dedup(bool on = true) const {
     auto p = *this;
     p.dedup = on;
-    return p;
-  }
-  parallel_policy with_load_balance(load_balance lb) const {
-    auto p = *this;
-    p.balance = lb;
     return p;
   }
 
@@ -234,10 +168,7 @@ class parallel_nosync_policy {
 
   /// Claim-bitmap dedup is not offered asynchronously: without a superstep
   /// boundary there is no safe point to reset the bitmap, so duplicate
-  /// suppression belongs to the algorithm's own visited state.  Load
-  /// balancing is likewise synchronous-only: every non-thread-mapped
-  /// strategy needs a frontier-wide planning pass (degree scan or triage)
-  /// that only a superstep boundary can order before the expansion.
+  /// suppression belongs to the algorithm's own visited state.
 
   parallel_nosync_policy with_grain(std::size_t g) const {
     auto p = *this;

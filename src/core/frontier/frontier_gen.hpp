@@ -14,11 +14,10 @@
 ///      thread-pool chunking contract).  Chunk `lo / step` emits into its
 ///      own cache-line-padded lane of a `parallel::lane_buffers` scratch —
 ///      no locks, no atomics, no false sharing.
-///   2. **Compact.**  An exclusive prefix sum over the (few) lane sizes —
-///      reusing `parallel::exclusive_scan`'s blocked scan — assigns every
-///      lane a disjoint slice of the output vector, which is resized once
-///      and copied into in parallel.  Still no synchronization: slices are
-///      disjoint by construction.
+///   2. **Compact.**  A serial exclusive prefix sum over the (at most
+///      4·lanes) lane sizes assigns every lane a disjoint slice of the
+///      output vector, which is resized once and copied into in parallel.
+///      Still no synchronization: slices are disjoint by construction.
 ///
 /// Extras threaded through:
 ///  - the scratch is `thread_local` to the *coordinating* thread and reused
@@ -43,7 +42,6 @@
 #include "parallel/atomic_bitset.hpp"
 #include "parallel/for_each.hpp"
 #include "parallel/lane_buffers.hpp"
-#include "parallel/scan.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace essentials::frontier {
@@ -156,12 +154,16 @@ generate_stats generate_scan(parallel::thread_pool& pool, std::size_t n,
       step);
 
   // Phase 2: exclusive-scan lane sizes -> disjoint output slices, then copy
-  // in parallel.  The scan reuses the blocked exclusive_scan (overkill for
-  // ≤ 4·lanes entries, but it keeps one scan implementation in the tree).
-  std::vector<std::size_t> counts(chunks), offsets(chunks);
-  scratch.sizes(chunks, counts.data());
-  std::size_t const total =
-      parallel::exclusive_scan(pool, counts.data(), chunks, offsets.data());
+  // in parallel.  There are at most 4·lanes sizes, too few for a fork-join
+  // to pay, so the scan is serial.
+  std::vector<std::size_t> offsets(chunks);
+  scratch.sizes(chunks, offsets.data());
+  std::size_t total = 0;
+  for (auto& offset : offsets) {
+    std::size_t const count = offset;
+    offset = total;
+    total += count;
+  }
 
   vec.resize(total);
   T* const dst = vec.data();

@@ -209,46 +209,17 @@ void advance_push(execution::parallel_nosync_policy policy, G const& g,
 /// appends are serialized *per discovered neighbor* — the lock is the one
 /// inside `sparse_frontier::add_vertex` (Listing 3's mutex-protected
 /// `output.add_vertex(n)`), so the baseline exercises the public frontier
-/// API rather than poking `active()` directly.  Equivalent to
-/// `advance_push(policy.with_frontier(frontier_gen::listing3), ...)`; kept
-/// as a named entry point for the operator-ablation bench
-/// (bench_operators) that quantifies what buffering and scan compaction
-/// buy.
+/// API rather than poking `active()` directly.  This is `advance_push`
+/// under `frontier_gen::listing3`, whatever `policy.frontier` says; kept as
+/// a named entry point for the operator-ablation bench (bench_operators)
+/// that quantifies what buffering and scan compaction buy.
 template <typename G, typename Cond>
   requires advance_condition<Cond, G>
 frontier::sparse_frontier<typename G::vertex_type> neighbors_expand_listing3(
     execution::parallel_policy policy, G const& g,
     frontier::sparse_frontier<typename G::vertex_type> const& in, Cond cond) {
-  using V = typename G::vertex_type;
-  auto const probe =
-      telemetry::make_probe("neighbors_expand_listing3.par", policy, in.size());
-  frontier::sparse_frontier<V> out;
-  auto const& active = in.active();
-  parallel::atomic_bitset* const dedup = detail::dedup_filter(
-      policy, static_cast<std::size_t>(g.get_num_vertices()));
-  auto const stats = frontier::generate_listing3(
-      policy.pool(), active.size(), policy.edge_grain, out,
-      [&](std::size_t lo, std::size_t hi, auto&& emit) {
-        std::size_t inspected = 0, relaxed = 0;
-        for (std::size_t i = lo; i < hi; ++i) {
-          V const v = active[i];
-          for (auto const e : g.get_edges(v)) {
-            V const n = g.get_dest_vertex(e);
-            auto const w = g.get_edge_weight(e);
-            ++inspected;
-            if (cond(v, n, e, w)) {
-              ++relaxed;
-              emit(n);
-            }
-          }
-        }
-        probe.add_edges(inspected, relaxed);
-      },
-      dedup);
-  detail::flush_generate_stats(probe, execution::frontier_gen::listing3,
-                               stats);
-  probe.set_items_out(out.size());
-  return out;
+  return advance_push(policy.with_frontier(execution::frontier_gen::listing3),
+                      g, in, cond);
 }
 
 /// The paper's name for push advance.  `neighbors_expand(policy, g, f,

@@ -69,10 +69,9 @@ inline constexpr bool compiled_in = (ESSENTIALS_TELEMETRY_ENABLED != 0);
 /// v6 adds residual-engine attribution (standing / residual_injections /
 /// residual_waves / residual_final) for standing queries re-converged
 /// in-place by the delta-accumulative priority engine (src/residual/).
-/// v7 adds the load-balance decision (load_balance / lb_auto) to op
-/// records: which advance work-decomposition strategy actually ran, and
-/// whether `load_balance::auto_select` chose it from the frontier shape —
-/// so BENCH artifacts can attribute wins to the decomposition.
+/// v7 added two op-record fields naming the advance's work-decomposition
+/// strategy.  The advance now has one decomposition, so both are retired;
+/// they were elided on the default path, so v7 traces are unchanged.
 inline constexpr int schema_version = 7;
 
 // ---------------------------------------------------------------------------
@@ -97,10 +96,6 @@ struct op_record {
   std::size_t emits_lock = 0;       ///< elements published under a lock
   std::size_t dedup_hits = 0;       ///< emissions suppressed by the dedup bitmap
   bool scratch_reused = false;      ///< lane scratch arrived with warm capacity
-  std::string load_balance;         ///< decomposition strategy that ran
-                                    ///< (empty == not a load-balanced op;
-                                    ///< elided from the JSON export)
-  bool lb_auto = false;             ///< strategy chosen by auto_select
   double millis = 0.0;              ///< wall time, launch -> retire
   std::size_t pool_lanes = 0;       ///< lanes available (0 == sequential)
   std::size_t pool_queued = 0;      ///< pool tasks pending at launch
@@ -521,21 +516,6 @@ class op_probe {
     flush_emits(s_, scan, lock, dedup);
   }
 
-  /// Record the load-balance decision (schema v7): which work-decomposition
-  /// strategy actually ran, and whether auto_select picked it — enacting
-  /// thread only.
-  void set_load_balance(char const* strategy, bool auto_selected) const {
-    if constexpr (compiled_in) {
-      if (s_) {
-        s_->record.load_balance = strategy;
-        s_->record.lb_auto = auto_selected;
-      }
-    } else {
-      (void)strategy;
-      (void)auto_selected;
-    }
-  }
-
   /// Record whether the scan path's lane scratch arrived warm (capacity
   /// reused from a previous superstep) — enacting thread only.
   void set_scratch_reused(bool reused) const {
@@ -655,11 +635,6 @@ inline void write_op_json(std::ostream& os, op_record const& op) {
      << ",\"emits_lock\":" << op.emits_lock
      << ",\"dedup_hits\":" << op.dedup_hits
      << ",\"scratch_reused\":" << (op.scratch_reused ? "true" : "false");
-  if (!op.load_balance.empty()) {
-    os << ",\"load_balance\":\"";
-    json_escape(os, op.load_balance);
-    os << "\",\"lb_auto\":" << (op.lb_auto ? "true" : "false");
-  }
   os << ",\"millis\":" << op.millis << ",\"pool_lanes\":" << op.pool_lanes
      << ",\"pool_queued\":" << op.pool_queued
      << ",\"pool_busy\":" << op.pool_busy

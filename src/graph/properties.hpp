@@ -2,15 +2,12 @@
 
 /// \file graph/properties.hpp
 /// \brief Structural queries over graphs: degree statistics, symmetry,
-/// reachability.  Used by tests (invariant checks), by the
-/// direction-optimizing heuristic, and by the partition-quality metrics.
+/// reachability.  Used by the tests' invariant checks and by the examples
+/// to describe their inputs.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.hpp"
@@ -52,105 +49,6 @@ degree_stats_t out_degree_stats(csr_t<V, E, W> const& csr) {
       sum_sq / static_cast<double>(n) - s.mean_degree * s.mean_degree;
   s.stddev_degree = var > 0.0 ? std::sqrt(var) : 0.0;
   return s;
-}
-
-/// `out_degree_stats` over the operator-facing graph concept (anything with
-/// get_num_vertices / get_out_degree — plain CSR views and the block-coded
-/// compressed graphs alike).  Same summary as the csr_t overload above.
-template <typename G>
-  requires requires(G const& g) {
-    g.get_num_vertices();
-    g.get_out_degree(typename G::vertex_type{});
-  }
-degree_stats_t out_degree_stats(G const& g) {
-  using V = typename G::vertex_type;
-  degree_stats_t s;
-  std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
-  if (n == 0)
-    return s;
-  s.min_degree = static_cast<std::size_t>(-1);
-  double sum = 0.0, sum_sq = 0.0;
-  for (std::size_t v = 0; v < n; ++v) {
-    std::size_t const d =
-        static_cast<std::size_t>(g.get_out_degree(static_cast<V>(v)));
-    s.min_degree = std::min(s.min_degree, d);
-    s.max_degree = std::max(s.max_degree, d);
-    if (d == 0)
-      ++s.isolated_vertices;
-    sum += static_cast<double>(d);
-    sum_sq += static_cast<double>(d) * static_cast<double>(d);
-  }
-  s.mean_degree = sum / static_cast<double>(n);
-  double const var =
-      sum_sq / static_cast<double>(n) - s.mean_degree * s.mean_degree;
-  s.stddev_degree = var > 0.0 ? std::sqrt(var) : 0.0;
-  return s;
-}
-
-namespace detail {
-
-/// Identity of a graph's topology for the degree-stats memo: the address of
-/// its row-offsets storage when the graph exposes one (plain CSR views via
-/// csr(), block-coded graphs via row_offsets_data()), else the graph object
-/// itself.  Combined with |V| and |E| into the cache key.
-template <typename G>
-void const* degree_stats_identity(G const& g) {
-  if constexpr (requires { g.row_offsets_data(); })
-    return static_cast<void const*>(g.row_offsets_data());
-  else if constexpr (requires { g.csr().row_offsets.data(); })
-    return static_cast<void const*>(g.csr().row_offsets.data());
-  else
-    return static_cast<void const*>(&g);
-}
-
-struct degree_stats_key {
-  std::uintptr_t identity;
-  std::size_t vertices;
-  std::size_t edges;
-  bool operator==(degree_stats_key const&) const = default;
-};
-
-struct degree_stats_key_hash {
-  std::size_t operator()(degree_stats_key const& k) const {
-    std::size_t h = static_cast<std::size_t>(k.identity);
-    h = h * 0x9e3779b97f4a7c15ull ^ k.vertices;
-    h = h * 0x9e3779b97f4a7c15ull ^ k.edges;
-    return h;
-  }
-};
-
-}  // namespace detail
-
-/// Memoized `out_degree_stats`: the O(|V|) sweep runs once per graph and is
-/// served from a process-wide cache afterwards — this is what lets
-/// `load_balance::auto_select` consult the graph's degree shape on *every*
-/// superstep for the cost of a hash lookup.
-///
-/// Keying is heuristic by design: (row-offsets address, |V|, |E|).  A graph
-/// freed and replaced by another at the same address with identical counts
-/// would be served the old summary — which can only skew a load-balancing
-/// *choice*, never a result (every strategy computes the same function).
-/// Returns by value; the cache is guarded by a mutex (lookups are rare:
-/// once per advance superstep, not per edge).
-template <typename G>
-degree_stats_t cached_out_degree_stats(G const& g) {
-  static std::mutex mu;
-  static std::unordered_map<detail::degree_stats_key, degree_stats_t,
-                            detail::degree_stats_key_hash>
-      cache;
-  detail::degree_stats_key const key{
-      reinterpret_cast<std::uintptr_t>(detail::degree_stats_identity(g)),
-      static_cast<std::size_t>(g.get_num_vertices()),
-      static_cast<std::size_t>(g.get_num_edges())};
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    if (auto const it = cache.find(key); it != cache.end())
-      return it->second;
-  }
-  degree_stats_t const stats = out_degree_stats(g);
-  std::lock_guard<std::mutex> lock(mu);
-  cache.emplace(key, stats);
-  return stats;
 }
 
 /// True iff for every edge (u, v) the edge (v, u) also exists (weights are

@@ -7,9 +7,7 @@
 /// These are the raw building blocks the core operators compile down to.
 /// `parallel_for` is a BSP superstep (implicit barrier on return);
 /// `parallel_for_nowait` is its fire-and-forget sibling used by the
-/// `par_nosync` execution policy.  The prefix-sum primitives live in
-/// parallel/scan.hpp (included here so historical `for_each.hpp` users of
-/// `exclusive_scan` keep compiling).
+/// `par_nosync` execution policy.
 
 #include <cstddef>
 #include <functional>
@@ -17,7 +15,6 @@
 #include <numeric>
 #include <vector>
 
-#include "parallel/scan.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace essentials::parallel {

@@ -87,11 +87,11 @@ class thread_pool {
   /// exceeds ceil(n / grain), nor 4 * (size() + 1) to bound scheduling
   /// overhead.
   ///
-  /// Chunking guarantee (relied upon by parallel/for_each.hpp's two-pass
-  /// exclusive_scan and the frontier scan-compaction path): for fixed
-  /// (n, grain) the partition is deterministic, every chunk's `begin` is a
-  /// multiple of `bulk_step(n, grain)`, and callers that pass that step
-  /// back in as `grain` observe chunk boundaries exactly at multiples of it.
+  /// Chunking guarantee (relied upon by the frontier scan-compaction path,
+  /// core/frontier/frontier_gen.hpp): for fixed (n, grain) the partition is
+  /// deterministic, every chunk's `begin` is a multiple of
+  /// `bulk_step(n, grain)`, and callers that pass that step back in as
+  /// `grain` observe chunk boundaries exactly at multiples of it.
   void run_blocked(std::size_t n,
                    std::function<void(std::size_t, std::size_t)> const& fn,
                    std::size_t grain = 1);

@@ -464,12 +464,11 @@ TEST(DeltaIncremental, SupersavedSupersteps) {
   EXPECT_GT(out.supersteps_saved, static_cast<std::size_t>(n) / 2);
 }
 
-TEST(DeltaIncremental, WarmEqualsColdUnderEveryLoadBalance) {
+TEST(DeltaIncremental, WarmEqualsColdAfterAHubFanOut) {
   // A skewed R-MAT republished with an insert-only delta: a fan-out that
-  // turns vertex 0 into a hub past the degree-class huge cutoff (so the
-  // first warm superstep takes the cooperative expansion), then random
-  // symmetric edges.  Warm starts reach `policy.balance` through the shared
-  // BSP relax loop; every strategy must land on the cold fixed point.
+  // turns vertex 0 into a hub of more than 4096 edges (so the first warm
+  // superstep expands it), then random symmetric edges.  Under the
+  // parallel policy every warm start must land on the cold fixed point.
   essentials::generators::rmat_options opt;
   opt.scale = 13;
   opt.edge_factor = 2;
@@ -509,27 +508,22 @@ TEST(DeltaIncremental, WarmEqualsColdUnderEveryLoadBalance) {
   auto const prev_bfs = alg::bfs(exec::seq, *base, source);
   auto const prev_cc = alg::connected_components(exec::seq, *base);
 
-  using lb = exec::load_balance;
-  for (lb const balance : {lb::thread_mapped, lb::edge_balanced,
-                           lb::degree_class, lb::auto_select}) {
-    SCOPED_TRACE(exec::to_string(balance));
-    auto const policy = exec::par.with_load_balance(balance);
-    alg::incremental_outcome out_s, out_b, out_c;
-    expect_same_distances(
-        alg::sssp_incremental(policy, *next, source, prev_sssp, delta, &out_s),
-        alg::sssp(policy, *next, source));
-    auto const warm_bfs =
-        alg::bfs_incremental(policy, *next, source, prev_bfs, delta, &out_b);
-    expect_same_depths(warm_bfs, alg::bfs(policy, *next, source));
-    expect_valid_bfs_tree(warm_bfs, *next, source);
-    expect_same_labels(
-        alg::connected_components_incremental(policy, *next, prev_cc, delta,
-                                              &out_c),
-        alg::connected_components(policy, *next));
-    EXPECT_TRUE(out_s.warm_started);
-    EXPECT_TRUE(out_b.warm_started);
-    EXPECT_TRUE(out_c.warm_started);
-  }
+  auto const policy = exec::par;
+  alg::incremental_outcome out_s, out_b, out_c;
+  expect_same_distances(
+      alg::sssp_incremental(policy, *next, source, prev_sssp, delta, &out_s),
+      alg::sssp(policy, *next, source));
+  auto const warm_bfs =
+      alg::bfs_incremental(policy, *next, source, prev_bfs, delta, &out_b);
+  expect_same_depths(warm_bfs, alg::bfs(policy, *next, source));
+  expect_valid_bfs_tree(warm_bfs, *next, source);
+  expect_same_labels(
+      alg::connected_components_incremental(policy, *next, prev_cc, delta,
+                                            &out_c),
+      alg::connected_components(policy, *next));
+  EXPECT_TRUE(out_s.warm_started);
+  EXPECT_TRUE(out_b.warm_started);
+  EXPECT_TRUE(out_c.warm_started);
 }
 
 // ---------------------------------------------------------------------------

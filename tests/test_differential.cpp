@@ -20,12 +20,10 @@
 #include "core/execution.hpp"
 #include "core/frontier/frontier.hpp"
 #include "core/operators/advance.hpp"
-#include "core/operators/advance_balanced.hpp"
 #include "core/operators/filter.hpp"
 #include "core/operators/neighbor_reduce.hpp"
 #include "core/telemetry.hpp"
 #include "generators/generators.hpp"
-#include "graph/compressed.hpp"
 #include "graph/graph.hpp"
 #include "lane_slots.hpp"
 #include "parallel/thread_pool.hpp"
@@ -62,6 +60,25 @@ g::graph_push_pull random_graph(std::uint64_t seed) {
 
 g::graph_push_pull star_graph() {
   return g::from_coo<g::graph_push_pull>(gen::star(64));
+}
+
+/// One celebrity hub: star(5000)'s center has out-degree 4999, so a single
+/// lane expands a neighbourhood as large as the rest of the frontier.
+g::graph_push_pull celebrity_graph() {
+  return g::from_coo<g::graph_push_pull>(gen::star(5000));
+}
+
+/// A skewed power-law graph (R-MAT): a few hubs among many low-degree
+/// vertices.
+g::graph_push_pull skewed_rmat_graph() {
+  gen::rmat_options opt;
+  opt.scale = 9;
+  opt.edge_factor = 8;
+  opt.seed = 5;
+  auto coo = gen::rmat(opt);
+  g::remove_self_loops(coo);
+  return g::from_coo<g::graph_push_pull>(std::move(coo),
+                                         g::duplicate_policy::keep_min);
 }
 
 g::graph_push_pull chain_graph() {
@@ -117,7 +134,7 @@ void expect_variants_agree(g::graph_push_pull const& graph,
   std::size_t const n = static_cast<std::size_t>(graph.get_num_vertices());
   fr::sparse_frontier<vertex_t> const in(std::move(seeds));
 
-  tel::trace t_seq, t_par, t_nosync, t_l3, t_balanced, t_dense, t_pull;
+  tel::trace t_seq, t_par, t_nosync, t_l3, t_dense, t_pull;
   tel::trace t_gen_l3, t_dedup;
 
   // Sequential push: the reference semantics.
@@ -177,11 +194,6 @@ void expect_variants_agree(g::graph_push_pull const& graph,
     EXPECT_EQ(a.to_vector(), b.to_vector());
   }
   {
-    tel::scoped_recording rec(t_balanced, "advance.balanced");
-    auto const out = op::advance_push_edge_balanced(ex::par, graph, in, cond);
-    EXPECT_EQ(sorted(out.to_vector()), ref_multiset);
-  }
-  {
     tel::scoped_recording rec(t_dense, "advance.to_dense");
     auto const out = op::advance_push_to_dense(ex::par, graph, in, cond);
     EXPECT_EQ(out.to_vector(), ref_set);  // bitmap deduplicates
@@ -204,8 +216,6 @@ void expect_variants_agree(g::graph_push_pull const& graph,
     EXPECT_EQ(t_nosync.total_edges_relaxed(), relx);
     EXPECT_EQ(t_l3.total_edges_inspected(), insp);
     EXPECT_EQ(t_l3.total_edges_relaxed(), relx);
-    EXPECT_EQ(t_balanced.total_edges_inspected(), insp);
-    EXPECT_EQ(t_balanced.total_edges_relaxed(), relx);
     EXPECT_EQ(t_dense.total_edges_inspected(), insp);
     EXPECT_EQ(t_dense.total_edges_relaxed(), relx);
     EXPECT_EQ(t_gen_l3.total_edges_inspected(), insp);
@@ -242,6 +252,16 @@ TEST(Differential, RandomGraphsAllVariantsAgree) {
     expect_variants_agree(graph, seeds, always);
     expect_variants_agree(graph, seeds, pure_mod);
   }
+  auto const skewed = skewed_rmat_graph();
+  std::vector<vertex_t> seeds;
+  for (vertex_t v = 0; v < 512; v += 3)
+    seeds.push_back(v);
+  expect_variants_agree(skewed, seeds, pure_mod);
+  // Full frontier: hubs and low-degree vertices share one superstep.
+  std::vector<vertex_t> all(512);
+  for (std::size_t i = 0; i < all.size(); ++i)
+    all[i] = static_cast<vertex_t>(i);
+  expect_variants_agree(skewed, all, always);
 }
 
 TEST(Differential, FullFrontierOnRandomGraph) {
@@ -258,6 +278,9 @@ TEST(Differential, StarHubFrontier) {
   auto const graph = star_graph();
   expect_variants_agree(graph, {0}, always);       // hub: 63-way fan-out
   expect_variants_agree(graph, {0}, pure_mod);
+  auto const celebrity = celebrity_graph();
+  expect_variants_agree(celebrity, {0}, always);  // 4999-way fan-out
+  expect_variants_agree(celebrity, {0}, pure_mod);
 }
 
 TEST(Differential, StarSpokeFrontier) {
@@ -391,31 +414,6 @@ TEST(Differential, DensePushCountsAllRelaxationsDespiteDedup) {
 }
 
 // --- frontier-generation strategies across the rest of the wired matrix ----
-
-// The edge-balanced advance honors the same generation axis as the plain
-// push: both strategies (and dedup) agree with the sequential
-// reference on a skewed frontier.
-TEST(Differential, EdgeBalancedHonorsGenerationStrategies) {
-  auto const graph = random_graph(17);
-  std::vector<vertex_t> seeds;
-  for (vertex_t v = 0; v < 200; v += 2)
-    seeds.push_back(v);
-  fr::sparse_frontier<vertex_t> const in(std::move(seeds));
-
-  auto const ref =
-      sorted(op::advance_push(ex::seq, graph, in, pure_mod).to_vector());
-  auto const ref_set = deduped(ref);
-
-  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
-    auto const out = op::advance_push_edge_balanced(
-        ex::par.with_frontier(mode), graph, in, pure_mod);
-    EXPECT_EQ(sorted(out.to_vector()), ref);
-    auto const dd = op::advance_push_edge_balanced(
-        ex::par.with_frontier(mode).with_dedup(), graph, in, pure_mod);
-    EXPECT_EQ(dd.size(), ref_set.size());
-    EXPECT_EQ(deduped(dd.to_vector()), ref_set);
-  }
-}
 
 // The edge-centric pipeline (expand_to_edges -> advance_edges) matches the
 // vertex-centric push under every generation strategy.
@@ -690,264 +688,4 @@ TEST(Differential, DenseToDenseMatchesSparseToDense) {
   auto const b_seq = op::advance_push(ex::seq, graph, din, pure_mod);
   EXPECT_EQ(a_seq.to_vector(), a.to_vector());
   EXPECT_EQ(b_seq.to_vector(), b.to_vector());
-}
-
-// --- load-balance strategy matrix (execution::load_balance) ----------------
-
-// Every work-decomposition strategy — thread_mapped, edge_balanced,
-// degree_class, and auto_select resolving among them — computes the same
-// function as the sequential reference, across frontier-generation
-// strategies and dedup, on skewed (star, celebrity hub, rmat) and uniform
-// (Erdos-Renyi) graphs.  Only the decomposition changes; the multiset of
-// discovered neighbors must not.
-
-namespace {
-
-std::vector<ex::load_balance> const all_strategies{
-    ex::load_balance::thread_mapped, ex::load_balance::edge_balanced,
-    ex::load_balance::degree_class, ex::load_balance::auto_select};
-
-g::graph_push_pull skewed_rmat_graph(std::uint64_t seed = 5) {
-  gen::rmat_options opt;
-  opt.scale = 9;
-  opt.edge_factor = 8;
-  opt.seed = seed;
-  auto coo = gen::rmat(opt);
-  g::remove_self_loops(coo);
-  return g::from_coo<g::graph_push_pull>(std::move(coo),
-                                         g::duplicate_policy::keep_min);
-}
-
-/// A hub crossing the degree-class *huge* cutoff (4096): star(5000)'s
-/// center has out-degree 4999, so degree_class takes the cooperative
-/// expansion path, not just the medium bucket.
-g::graph_push_pull celebrity_graph() {
-  return g::from_coo<g::graph_push_pull>(gen::star(5000));
-}
-
-template <typename Cond>
-void expect_strategies_agree(g::graph_push_pull const& graph,
-                             std::vector<vertex_t> seeds, Cond cond) {
-  fr::sparse_frontier<vertex_t> const in(std::move(seeds));
-  auto const ref =
-      sorted(op::advance_push(ex::seq, graph, in, cond).to_vector());
-  auto const ref_set = deduped(ref);
-
-  for (auto const lb : all_strategies) {
-    for (auto const mode :
-         {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
-      auto const policy = ex::par.with_load_balance(lb).with_frontier(mode);
-      auto const out = op::advance_balanced(policy, graph, in, cond);
-      EXPECT_EQ(sorted(out.to_vector()), ref)
-          << "strategy=" << ex::to_string(lb) << " mode=" << static_cast<int>(mode);
-      auto const dd = op::advance_balanced(policy.with_dedup(), graph, in, cond);
-      EXPECT_EQ(dd.size(), ref_set.size())
-          << "strategy=" << ex::to_string(lb);
-      EXPECT_EQ(deduped(dd.to_vector()), ref_set);
-    }
-    // Sequential policies take the reference path regardless of strategy
-    // (the balance axis lives on parallel_policy only).
-    auto const s = op::advance_balanced(ex::seq, graph, in, cond);
-    EXPECT_EQ(sorted(s.to_vector()), ref);
-  }
-}
-
-}  // namespace
-
-TEST(LoadBalanceDifferential, StarHubAndSpokes) {
-  auto const graph = star_graph();
-  expect_strategies_agree(graph, {0}, always);  // hub fan-out (medium class)
-  std::vector<vertex_t> spokes;
-  for (vertex_t v = 1; v < 64; ++v)
-    spokes.push_back(v);
-  expect_strategies_agree(graph, spokes, pure_mod);  // max duplication
-}
-
-TEST(LoadBalanceDifferential, CelebrityHubCrossesHugeCutoff) {
-  auto const graph = celebrity_graph();
-  expect_strategies_agree(graph, {0}, always);  // 4999-way cooperative expand
-  expect_strategies_agree(graph, {0}, pure_mod);
-}
-
-TEST(LoadBalanceDifferential, SkewedRmatFrontiers) {
-  auto const graph = skewed_rmat_graph();
-  std::vector<vertex_t> seeds;
-  for (vertex_t v = 0; v < 512; v += 3)
-    seeds.push_back(v);
-  expect_strategies_agree(graph, seeds, pure_mod);
-  // Full frontier: every degree class is populated at once.
-  std::vector<vertex_t> all(512);
-  for (std::size_t i = 0; i < all.size(); ++i)
-    all[i] = static_cast<vertex_t>(i);
-  expect_strategies_agree(graph, all, always);
-}
-
-TEST(LoadBalanceDifferential, UniformRandomFrontiers) {
-  auto const graph = random_graph(13);
-  std::vector<vertex_t> seeds;
-  for (vertex_t v = 0; v < 200; v += 2)
-    seeds.push_back(v);
-  expect_strategies_agree(graph, seeds, always);
-  expect_strategies_agree(graph, seeds, pure_mod);
-}
-
-// Under frontier_gen::scan (no dedup) each strategy's output order is a
-// deterministic function of the chunking contract.  thread_mapped and
-// edge_balanced emit in frontier order, so they are *bit-identical* to the
-// sequential reference; degree_class emits in bucket order, so it (and
-// auto_select, which may resolve to it) matches the reference as a
-// multiset.  Every strategy must be bit-identical across two 8-worker pools
-// and across two runs on one pool.
-TEST(LoadBalanceDifferential, BitIdenticalPerStrategy) {
-  essentials::parallel::thread_pool pool_a(8);
-  essentials::parallel::thread_pool pool_b(8);
-  ex::parallel_policy const on_a(pool_a);
-  ex::parallel_policy const on_b(pool_b);
-
-  for (auto const& graph : {skewed_rmat_graph(7), celebrity_graph()}) {
-    std::size_t const n = static_cast<std::size_t>(graph.get_num_vertices());
-    std::vector<vertex_t> seeds;
-    for (std::size_t v = 0; v < n; v += 2)
-      seeds.push_back(static_cast<vertex_t>(v));
-    fr::sparse_frontier<vertex_t> const in(std::move(seeds));
-    auto const ref =
-        op::advance_push(ex::seq, graph, in, pure_mod).to_vector();
-
-    for (auto const lb : all_strategies) {
-      auto const a =
-          op::advance_balanced(on_a.with_load_balance(lb), graph, in, pure_mod);
-      if (lb == ex::load_balance::thread_mapped ||
-          lb == ex::load_balance::edge_balanced)
-        EXPECT_EQ(a.to_vector(), ref)
-            << "strategy=" << ex::to_string(lb) << " must match seq exactly";
-      else
-        EXPECT_EQ(sorted(a.to_vector()), sorted(ref))
-            << "strategy=" << ex::to_string(lb);
-      auto const b =
-          op::advance_balanced(on_b.with_load_balance(lb), graph, in, pure_mod);
-      EXPECT_EQ(a.to_vector(), b.to_vector())
-          << "strategy=" << ex::to_string(lb) << " must be bit-identical";
-      auto const a2 =
-          op::advance_balanced(on_a.with_load_balance(lb), graph, in, pure_mod);
-      EXPECT_EQ(a.to_vector(), a2.to_vector()) << "two-run determinism";
-    }
-  }
-}
-
-// auto_select records its per-superstep decision in telemetry (schema v7):
-// the advance_balanced op record carries the resolved strategy name and
-// lb_auto == true; fixed strategies record lb_auto == false.
-TEST(LoadBalanceDifferential, AutoDecisionLandsInTelemetry) {
-  auto const graph = skewed_rmat_graph(3);
-  std::vector<vertex_t> seeds(256);
-  for (std::size_t i = 0; i < seeds.size(); ++i)
-    seeds[i] = static_cast<vertex_t>(i * 2);
-  fr::sparse_frontier<vertex_t> const in(std::move(seeds));
-
-  tel::trace t_auto, t_fixed;
-  {
-    tel::scoped_recording rec(t_auto, "auto");
-    op::advance_balanced(ex::par.with_load_balance(ex::load_balance::auto_select),
-                         graph, in, always);
-  }
-  {
-    tel::scoped_recording rec(t_fixed, "fixed");
-    op::advance_balanced(
-        ex::par.with_load_balance(ex::load_balance::edge_balanced), graph, in,
-        always);
-  }
-  if (tel::compiled_in) {
-    bool saw_auto = false, saw_fixed = false;
-    for (auto const& s : t_auto.supersteps)
-      for (auto const& o : s.ops)
-        if (o.name == "advance_balanced" && !o.load_balance.empty()) {
-          saw_auto = true;
-          EXPECT_TRUE(o.lb_auto);
-          EXPECT_NE(o.load_balance, "auto_select");  // resolved, not echoed
-        }
-    for (auto const& s : t_fixed.supersteps)
-      for (auto const& o : s.ops)
-        if (o.name == "advance_balanced" && !o.load_balance.empty()) {
-          saw_fixed = true;
-          EXPECT_FALSE(o.lb_auto);
-          EXPECT_EQ(o.load_balance, "edge_balanced");
-        }
-    EXPECT_TRUE(saw_auto);
-    EXPECT_TRUE(saw_fixed);
-  }
-}
-
-// The strategy matrix holds on compressed (block-coded) adjacency too:
-// same multiset as flat CSR, bit-identical between flat and compressed
-// under scan (both decode edges in CSR order).
-TEST(LoadBalanceDifferential, CompressedGraphStrategiesAgree) {
-  gen::rmat_options opt;
-  opt.scale = 9;
-  opt.edge_factor = 8;
-  opt.seed = 29;
-  auto coo = gen::rmat(opt);
-  g::remove_self_loops(coo);
-  g::sort_and_deduplicate(coo, g::duplicate_policy::keep_min);
-  auto const csr = g::build_csr(coo);
-  g::graph_csr flat;
-  flat.set_csr(csr);
-  g::compressed_graph<> cg(csr);
-
-  std::vector<vertex_t> seeds;
-  for (vertex_t v = 0; v < 512; v += 2)
-    seeds.push_back(v);
-  fr::sparse_frontier<vertex_t> const in(std::move(seeds));
-
-  auto const ref =
-      sorted(op::advance_push(ex::seq, flat, in, pure_mod).to_vector());
-  for (auto const lb : all_strategies) {
-    auto const a = op::advance_balanced(ex::par.with_load_balance(lb), flat,
-                                        in, pure_mod);
-    auto const b = op::advance_balanced(ex::par.with_load_balance(lb), cg, in,
-                                        pure_mod);
-    EXPECT_EQ(sorted(a.to_vector()), ref) << ex::to_string(lb);
-    EXPECT_EQ(a.to_vector(), b.to_vector())
-        << "flat vs compressed, strategy=" << ex::to_string(lb);
-  }
-}
-
-// neighbor_reduce_activate under degree_class folds hub neighborhoods
-// cooperatively; with an integer-valued map/combine the folded values and
-// the surviving frontier must match the thread-mapped path exactly.
-TEST(LoadBalanceDifferential, NeighborReduceDegreeClassMatchesThreadMapped) {
-  auto const graph = celebrity_graph();
-  std::size_t const n = static_cast<std::size_t>(graph.get_num_vertices());
-  std::vector<vertex_t> seeds{0};  // the hub
-  for (vertex_t v = 1; v < 100; v += 2)
-    seeds.push_back(v);
-  fr::sparse_frontier<vertex_t> const in(std::move(seeds));
-
-  auto const map_i = [](vertex_t, vertex_t d, edge_t, weight_t) {
-    return static_cast<double>(d % 17);  // integer-valued: exact under any
-  };                                     // association
-  auto const combine = [](double a, double b) { return a + b; };
-  auto const activate = [](vertex_t, double acc) { return acc > 4.0; };
-
-  std::vector<double> out_tm(n, -1.0), out_dc(n, -1.0), out_auto(n, -1.0);
-  auto const f_tm = op::neighbor_reduce_activate(
-      ex::par, graph, in, 0.0, map_i, combine, activate, out_tm.data());
-  auto const f_dc = op::neighbor_reduce_activate(
-      ex::par.with_load_balance(ex::load_balance::degree_class), graph, in,
-      0.0, map_i, combine, activate, out_dc.data());
-  auto const f_auto = op::neighbor_reduce_activate(
-      ex::par.with_load_balance(ex::load_balance::auto_select), graph, in,
-      0.0, map_i, combine, activate, out_auto.data());
-
-  EXPECT_EQ(out_tm, out_dc);
-  EXPECT_EQ(out_tm, out_auto);
-  EXPECT_EQ(sorted(f_tm.to_vector()), sorted(f_dc.to_vector()));
-  EXPECT_EQ(sorted(f_tm.to_vector()), sorted(f_auto.to_vector()));
-
-  // Determinism of the cooperative path itself.
-  std::vector<double> out_dc2(n, -1.0);
-  auto const f_dc2 = op::neighbor_reduce_activate(
-      ex::par.with_load_balance(ex::load_balance::degree_class), graph, in,
-      0.0, map_i, combine, activate, out_dc2.data());
-  EXPECT_EQ(out_dc, out_dc2);
-  EXPECT_EQ(f_dc.to_vector(), f_dc2.to_vector());
 }

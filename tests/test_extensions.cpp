@@ -1,20 +1,14 @@
 // Tests for the extension features beyond the paper's minimal surface:
-// edge-balanced advance (the §IV-C load-balancing optimization),
 // delta-stepping SSSP, Luby MIS, and label-propagation communities.
 #include <gtest/gtest.h>
-
-#include <algorithm>
 
 #include "algorithms/label_propagation.hpp"
 #include "algorithms/mis.hpp"
 #include "algorithms/sssp.hpp"
 #include "algorithms/sssp_delta.hpp"
-#include "core/operators/advance_balanced.hpp"
 #include "essentials.hpp"
 
 namespace e = essentials;
-namespace op = e::operators;
-namespace fr = e::frontier;
 using e::vertex_t;
 
 namespace {
@@ -37,93 +31,7 @@ e::graph::graph_full undirected(e::graph::coo_t<> coo) {
   return e::graph::from_coo<e::graph::graph_full>(std::move(coo));
 }
 
-auto const always = [](vertex_t, vertex_t, e::edge_t, e::weight_t) {
-  return true;
-};
-
-std::vector<vertex_t> sorted(std::vector<vertex_t> v) {
-  std::sort(v.begin(), v.end());
-  return v;
-}
-
 }  // namespace
-
-// --- edge-balanced advance ---------------------------------------------------
-
-TEST(AdvanceEdgeBalanced, MatchesThreadMappedAdvance) {
-  auto const g = skewed_graph();
-  fr::sparse_frontier<vertex_t> in;
-  for (vertex_t v = 0; v < g.get_num_vertices(); v += 3)
-    in.add_vertex(v);
-  auto const plain = op::advance_push(e::execution::par, g, in, always);
-  auto const balanced =
-      op::advance_push_edge_balanced(e::execution::par, g, in, always);
-  EXPECT_EQ(sorted(plain.to_vector()), sorted(balanced.to_vector()));
-}
-
-TEST(AdvanceEdgeBalanced, SeqMatchesPar) {
-  auto const g = skewed_graph(9);
-  fr::sparse_frontier<vertex_t> in(std::vector<vertex_t>{0, 1, 5, 100, 200});
-  auto const s = op::advance_push_edge_balanced(e::execution::seq, g, in, always);
-  auto const p = op::advance_push_edge_balanced(e::execution::par, g, in, always);
-  EXPECT_EQ(sorted(s.to_vector()), sorted(p.to_vector()));
-}
-
-TEST(AdvanceEdgeBalanced, HandlesHubAndZeroDegreeMix) {
-  // Star hub in the frontier next to isolated-ish spokes: the edge-work
-  // split lands mid-hub, which is exactly the case the binary search
-  // handles.
-  auto coo = e::generators::star(2000);
-  auto const g = e::graph::from_coo<e::graph::graph_csr>(std::move(coo));
-  fr::sparse_frontier<vertex_t> in;
-  in.add_vertex(1);    // degree 1
-  in.add_vertex(0);    // degree 1999 (the hub)
-  in.add_vertex(2);    // degree 1
-  auto const out =
-      op::advance_push_edge_balanced(e::execution::par, g, in, always);
-  EXPECT_EQ(out.size(), 1999u + 2u);
-}
-
-TEST(AdvanceEdgeBalanced, ConditionSeesCorrectTuple) {
-  auto const g = skewed_graph(3);
-  fr::sparse_frontier<vertex_t> in;
-  for (vertex_t v = 0; v < 50; ++v)
-    in.add_vertex(v);
-  // Verify (src, dst, e, w) coherence: the edge id's endpoints and weight
-  // must match the graph's own answers.
-  std::atomic<int> mismatches{0};
-  op::advance_push_edge_balanced(
-      e::execution::par, g, in,
-      [&g, &mismatches](vertex_t src, vertex_t dst, e::edge_t edge,
-                        e::weight_t w) {
-        if (g.get_dest_vertex(edge) != dst || g.get_source_vertex(edge) != src ||
-            g.get_edge_weight(edge) != w)
-          mismatches.fetch_add(1);
-        return false;
-      });
-  EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST(AdvanceEdgeBalanced, EmptyAndZeroWorkFrontiers) {
-  auto const g = skewed_graph(4);
-  fr::sparse_frontier<vertex_t> empty;
-  EXPECT_TRUE(op::advance_push_edge_balanced(e::execution::par, g, empty,
-                                             always)
-                  .empty());
-  // A frontier of sink vertices only (no out-edges).
-  fr::sparse_frontier<vertex_t> sinks;
-  for (vertex_t v = 0; v < g.get_num_vertices(); ++v)
-    if (g.get_out_degree(v) == 0) {
-      sinks.add_vertex(v);
-      if (sinks.size() == 5)
-        break;
-    }
-  if (!sinks.empty()) {
-    EXPECT_TRUE(op::advance_push_edge_balanced(e::execution::par, g, sinks,
-                                               always)
-                    .empty());
-  }
-}
 
 // --- delta-stepping -------------------------------------------------------------
 

@@ -10,7 +10,6 @@
 
 #include "core/execution.hpp"
 #include "core/operators/advance.hpp"
-#include "core/operators/advance_balanced.hpp"
 #include "core/operators/compute.hpp"
 #include "core/operators/filter.hpp"
 #include "core/operators/neighbor_reduce.hpp"
@@ -18,7 +17,6 @@
 #include "core/telemetry.hpp"
 #include "generators/generators.hpp"
 #include "graph/graph.hpp"
-#include "graph/properties.hpp"
 
 namespace ex = essentials::execution;
 namespace op = essentials::operators;
@@ -489,68 +487,7 @@ TEST(NeighborReduceActivate, FrontierRestriction) {
   EXPECT_EQ(counts, (std::vector<int>{-7, 2, -7, -7}));
 }
 
-// --- load-balance policy axis ----------------------------------------------
-
-TEST(LoadBalancePolicy, BuildersComposeWithoutMutatingTheSource) {
-  auto const p = ex::par.with_load_balance(ex::load_balance::degree_class)
-                     .with_grain(128);
-  EXPECT_EQ(p.balance, ex::load_balance::degree_class);
-  EXPECT_EQ(p.grain, 128u);
-  // The shared const instance keeps the defaults.
-  EXPECT_EQ(ex::par.balance, ex::load_balance::thread_mapped);
-  EXPECT_EQ(ex::par.grain, ex::default_grain);
-  // Edge-domain chunks are floored at the documented 64-edge constant.
-  EXPECT_EQ(ex::default_edge_grain_floor, 64u);
-}
-
-TEST(LoadBalancePolicy, ToStringNamesEveryStrategy) {
-  EXPECT_STREQ(ex::to_string(ex::load_balance::thread_mapped),
-               "thread_mapped");
-  EXPECT_STREQ(ex::to_string(ex::load_balance::edge_balanced),
-               "edge_balanced");
-  EXPECT_STREQ(ex::to_string(ex::load_balance::degree_class), "degree_class");
-  EXPECT_STREQ(ex::to_string(ex::load_balance::auto_select), "auto_select");
-}
-
-TEST(LoadBalanceHeuristic, AutoSelectCoversTheDecisionTree) {
-  using lb = ex::load_balance;
-  auto pick = [](std::size_t f, std::size_t maxd, double mean, double stddev) {
-    essentials::graph::degree_stats_t s;
-    s.max_degree = maxd;
-    s.mean_degree = mean;
-    s.stddev_degree = stddev;
-    return op::detail::auto_select_strategy(f, s, /*lanes=*/8);
-  };
-  // Empty frontier: nothing to decompose.
-  EXPECT_EQ(pick(0, 100000, 16.0, 64.0), lb::thread_mapped);
-  // A hub past the huge cutoff forces the triage no matter the size.
-  EXPECT_EQ(pick(4, 5000, 16.0, 64.0), lb::degree_class);
-  // Tiny estimated work: decomposition overhead cannot pay for itself.
-  EXPECT_EQ(pick(4, 40, 2.0, 1.0), lb::thread_mapped);
-  // Pronounced skew (max >= 16x mean) without giant hubs: degree_class.
-  EXPECT_EQ(pick(100000, 200, 10.0, 5.0), lb::degree_class);
-  // Broad variance without extreme skew: pay the full edge-balanced scan.
-  EXPECT_EQ(pick(100000, 100, 10.0, 15.0), lb::edge_balanced);
-  // Uniform degrees: thread mapping is already balanced.
-  EXPECT_EQ(pick(100000, 40, 10.0, 2.0), lb::thread_mapped);
-}
-
-TEST(LoadBalanceStats, CachedDegreeStatsMatchesDirectSweep) {
-  auto const graph = rmat_graph();
-  auto const direct = essentials::graph::out_degree_stats(graph);
-  auto const cached = essentials::graph::cached_out_degree_stats(graph);
-  EXPECT_EQ(cached.min_degree, direct.min_degree);
-  EXPECT_EQ(cached.max_degree, direct.max_degree);
-  EXPECT_DOUBLE_EQ(cached.mean_degree, direct.mean_degree);
-  EXPECT_DOUBLE_EQ(cached.stddev_degree, direct.stddev_degree);
-  EXPECT_EQ(cached.isolated_vertices, direct.isolated_vertices);
-  // Second lookup is served from the memo and must agree with itself.
-  auto const again = essentials::graph::cached_out_degree_stats(graph);
-  EXPECT_EQ(again.max_degree, cached.max_degree);
-  EXPECT_DOUBLE_EQ(again.mean_degree, cached.mean_degree);
-}
-
-TEST(LoadBalanceTelemetry, OffsetsScratchReuseTicksOnWarmSuperstep) {
+TEST(AdvancePush, ScratchReuseTicksOnWarmSuperstep) {
   auto const graph = rmat_graph();
   std::vector<vertex_t> seeds;
   for (vertex_t v = 0; v < 256; v += 2)
@@ -560,28 +497,25 @@ TEST(LoadBalanceTelemetry, OffsetsScratchReuseTicksOnWarmSuperstep) {
 
   tel::trace t;
   {
-    tel::scoped_recording rec(t, "edge_balanced.scratch");
-    op::advance_push_edge_balanced(ex::par, graph, in, cond);  // warm up
-    op::advance_push_edge_balanced(ex::par, graph, in, cond);  // reuse
+    tel::scoped_recording rec(t, "advance_push.scratch");
+    op::advance_push(ex::par, graph, in, cond);  // warm up
+    op::advance_push(ex::par, graph, in, cond);  // reuse
   }
   if (tel::compiled_in) {
     std::vector<essentials::telemetry::op_record const*> records;
     for (auto const& s : t.supersteps)
       for (auto const& o : s.ops)
-        if (o.name == "advance_push_edge_balanced")
+        if (o.name == "advance_push.par")
           records.push_back(&o);
     ASSERT_EQ(records.size(), 2u);
-    // The second superstep finds both the lane scratch and the pooled
-    // offsets vector warm; its strategy tag is stamped either way.
+    // The second superstep finds the lane scratch warm.
     EXPECT_TRUE(records[1]->scratch_reused);
-    EXPECT_EQ(records[0]->load_balance, "edge_balanced");
-    EXPECT_FALSE(records[0]->lb_auto);
   }
 }
 
-TEST(NeighborReduceActivate, DegreeClassRecordsDecisionInTelemetry) {
-  // star(5000): the hub's 4999 out-edges cross the huge cutoff, so the
-  // cooperative fold path runs and stamps the op record.
+TEST(NeighborReduceActivate, StarHubFoldsEverySpoke) {
+  // star(5000): one hub with 4999 out-edges shares the frontier with two
+  // spokes, so a single lane folds the hub's whole neighbourhood.
   auto const graph = g::from_coo<g::graph_push_pull>(gen::star(5000));
   std::size_t const n = static_cast<std::size_t>(graph.get_num_vertices());
   fr::sparse_frontier<vertex_t> const in(std::vector<vertex_t>{0, 1, 2});
@@ -589,10 +523,10 @@ TEST(NeighborReduceActivate, DegreeClassRecordsDecisionInTelemetry) {
 
   tel::trace t;
   {
-    tel::scoped_recording rec(t, "nra.degree_class");
+    tel::scoped_recording rec(t, "nra.star_hub");
     op::neighbor_reduce_activate(
-        ex::par.with_load_balance(ex::load_balance::degree_class), graph, in,
-        0L, [](vertex_t, vertex_t d, edge_t, weight_t) { return (long)d; },
+        ex::par, graph, in, 0L,
+        [](vertex_t, vertex_t d, edge_t, weight_t) { return (long)d; },
         [](long a, long b) { return a + b; },
         [](vertex_t, long acc) { return acc > 0; }, out.data());
   }
@@ -600,11 +534,7 @@ TEST(NeighborReduceActivate, DegreeClassRecordsDecisionInTelemetry) {
     bool saw = false;
     for (auto const& s : t.supersteps)
       for (auto const& o : s.ops)
-        if (o.name == "neighbor_reduce_activate") {
-          saw = true;
-          EXPECT_EQ(o.load_balance, "degree_class");
-          EXPECT_FALSE(o.lb_auto);
-        }
+        saw = saw || o.name == "neighbor_reduce_activate";
     EXPECT_TRUE(saw);
   }
   // The hub folded the sum of all spoke ids: n*(n-1)/2 with ids 1..4999.

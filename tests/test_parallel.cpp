@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "lane_slots.hpp"
 #include "parallel/atomic_bitset.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/for_each.hpp"
@@ -165,33 +164,6 @@ TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
       pool, std::size_t{5}, std::size_t{5}, 123,
       [](std::size_t) { return 1; }, [](int a, int b) { return a + b; });
   EXPECT_EQ(total, 123);
-}
-
-TEST(ExclusiveScan, MatchesSerialPrefixSum) {
-  p::thread_pool pool(4);
-  std::vector<int> in(1777);
-  for (std::size_t i = 0; i < in.size(); ++i)
-    in[i] = static_cast<int>(i % 7);
-  std::vector<long long> out(in.size());
-  auto const total = p::exclusive_scan(pool, in.data(), in.size(), out.data());
-
-  long long running = 0;
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    EXPECT_EQ(out[i], running) << "at " << i;
-    running += in[i];
-  }
-  EXPECT_EQ(total, running);
-}
-
-TEST(ExclusiveScan, EmptyAndSingle) {
-  p::thread_pool pool(2);
-  std::vector<int> in;
-  std::vector<int> out;
-  EXPECT_EQ(p::exclusive_scan(pool, in.data(), 0, out.data()), 0);
-  in = {42};
-  out.resize(1);
-  EXPECT_EQ(p::exclusive_scan(pool, in.data(), 1, out.data()), 42);
-  EXPECT_EQ(out[0], 0);
 }
 
 // --- atomics ----------------------------------------------------------------
@@ -575,52 +547,4 @@ TEST(LaneBuffers, ConcurrentLanesDoNotInterfere) {
     all.insert(all.end(), lanes[c].buf.begin(), lanes[c].buf.end());
   for (std::size_t i = 0; i < n; ++i)
     ASSERT_EQ(all[i], static_cast<int>(i));
-}
-
-TEST(ExclusiveScan, ScanMapMatchesMaterializedScan) {
-  p::thread_pool pool(4);
-  std::size_t const n = 5000;
-  std::vector<std::size_t> in(n);
-  for (std::size_t i = 0; i < n; ++i)
-    in[i] = (i * 31) % 13;
-  std::vector<std::size_t> out_arr(n), out_map(n);
-  auto const t1 = p::exclusive_scan(pool, in.data(), n, out_arr.data());
-  auto const t2 = p::exclusive_scan_map(
-      pool, n, [&in](std::size_t i) { return in[i]; }, out_map.data());
-  EXPECT_EQ(t1, t2);
-  EXPECT_EQ(out_arr, out_map);  // bit-identical: same blocked combine
-}
-
-TEST(ExclusiveScan, ScanMapEmptyAndSingle) {
-  p::thread_pool pool(2);
-  std::vector<long> out(1, -1);
-  EXPECT_EQ(p::exclusive_scan_map(
-                pool, 0, [](std::size_t) { return 9L; }, out.data()),
-            0L);
-  EXPECT_EQ(p::exclusive_scan_map(
-                pool, 1, [](std::size_t) { return 9L; }, out.data()),
-            9L);
-  EXPECT_EQ(out[0], 0L);
-}
-
-TEST(ExclusiveScan, DeterministicAcrossSubstratesForFixedWidth) {
-  // The blocked scan's per-chunk combine runs in chunk order on the
-  // coordinating thread: for one pool width the offsets are a pure
-  // function of (n, input), whichever route the sweeps' chunks take — the
-  // caller's lane deque, or the locked injector when every external lane
-  // slot is held.
-  std::size_t const n = 100000;
-  std::vector<std::size_t> in(n);
-  for (std::size_t i = 0; i < n; ++i)
-    in[i] = (i * 7 + 3) % 97;
-  std::vector<std::size_t> a(n), b(n);
-  p::thread_pool deques(8);
-  p::thread_pool injector(8);
-  essentials::test_support::external_lanes_held const held(injector);
-  auto const ta = p::exclusive_scan(deques, in.data(), n, a.data());
-  auto const tb = p::exclusive_scan(injector, in.data(), n, b.data());
-  EXPECT_EQ(deques.lane_id(), deques.size());  // claimed an external lane
-  EXPECT_EQ(injector.lane_id(), p::thread_pool::no_lane);
-  EXPECT_EQ(ta, tb);
-  EXPECT_EQ(a, b);
 }

@@ -13,7 +13,6 @@
 #include "algorithms/kcore.hpp"
 #include "algorithms/pagerank.hpp"
 #include "algorithms/sssp.hpp"
-#include "core/operators/advance_balanced.hpp"
 #include "essentials.hpp"
 
 namespace e = essentials;
@@ -162,10 +161,6 @@ TEST_P(GraphProperty, EveryAdvanceOverloadComputesTheSameSet) {
             reference);
   EXPECT_EQ(sorted(op::neighbors_expand_listing3(e::execution::par, graph_,
                                                  in, always)
-                       .to_vector()),
-            reference);
-  EXPECT_EQ(sorted(op::advance_push_edge_balanced(e::execution::par, graph_,
-                                                  in, always)
                        .to_vector()),
             reference);
 
