@@ -6,7 +6,6 @@
 /// hook/pointer-jump (Shiloach–Vishkin flavoured) as the fast parallel
 /// alternative, and serial union-find as the oracle.
 
-#include <algorithm>
 #include <cstddef>
 #include <numeric>
 #include <vector>
@@ -28,12 +27,17 @@ struct cc_result {
 
 namespace detail {
 
+/// Components of a labelling that names each component by its smallest
+/// vertex id — every labelling here does: label propagation's min, the
+/// hook's roots (a vertex only ever hooks under a smaller id), union-find
+/// by minimum, and the incremental path's fixed point.  So each component
+/// has exactly one vertex labelled with its own id: one O(n) pass, no sort.
 template <typename V>
 std::size_t count_components(std::vector<V> const& labels) {
-  std::vector<V> sorted = labels;
-  std::sort(sorted.begin(), sorted.end());
-  return static_cast<std::size_t>(
-      std::unique(sorted.begin(), sorted.end()) - sorted.begin());
+  std::size_t count = 0;
+  for (std::size_t v = 0; v < labels.size(); ++v)
+    count += labels[v] == static_cast<V>(v) ? 1 : 0;
+  return count;
 }
 
 }  // namespace detail

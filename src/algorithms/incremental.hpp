@@ -42,7 +42,7 @@
 /// Note on `iterations` and BFS parents: a warm-started result converges
 /// in fewer supersteps, so the result's `iterations` field differs from a
 /// cold run's — "bit-identical" covers the *payload* (distances / depths /
-/// labels).  Warm BFS maintains (depth, parent) in one packed 64-bit CAS,
+/// labels).  Warm BFS maintains (depth, parent) in one packed 64-bit word,
 /// yielding exact depths and *a* valid BFS tree (the same contract as the
 /// cold parallel claim-based BFS, whose parents are also run-dependent).
 
@@ -107,6 +107,52 @@ inline void note_outcome(incremental_outcome* out, bool warm,
       warm && prev_supersteps > supersteps ? prev_supersteps - supersteps : 0;
 }
 
+/// Warm BFS's program: (depth, parent) packed in one word, depth in the
+/// high half, `unset` (all ones) for unreached, ordered by the depth half
+/// alone.  A source at depth d offers (d + 1, itself); an unset source
+/// offers nothing.  Pushed, a CAS on the packed word; pulled, `relax_pull`
+/// folds the offers.  Either way depth and parent change together, so a
+/// parent's converged depth is always exactly one less than its child's.
+struct depth_parent_program {
+  static constexpr std::uint32_t unset = 0xffffffffu;
+  std::uint64_t* value;
+
+  static std::uint64_t pack(std::uint32_t depth, std::uint32_t parent) {
+    return (static_cast<std::uint64_t>(depth) << 32) | parent;
+  }
+  static std::uint32_t depth(std::uint64_t word) {
+    return static_cast<std::uint32_t>(word >> 32);
+  }
+  static std::uint32_t parent(std::uint64_t word) {
+    return static_cast<std::uint32_t>(word);
+  }
+
+  std::uint64_t offer(auto const src, std::uint64_t const x,
+                      auto const /*weight*/) const {
+    return depth(x) == unset ? x
+                             : pack(depth(x) + 1,
+                                    static_cast<std::uint32_t>(src));
+  }
+  static bool improves(std::uint64_t const a, std::uint64_t const b) {
+    return depth(a) < depth(b);
+  }
+
+  bool operator()(auto const src, auto const dst, auto const /*edge*/,
+                  auto const weight) const {
+    std::uint64_t* const target = &value[static_cast<std::size_t>(dst)];
+    std::uint64_t const offered = offer(
+        src, atomic::load(&value[static_cast<std::size_t>(src)]), weight);
+    std::uint64_t cur = atomic::load(target);
+    while (improves(offered, cur)) {
+      std::uint64_t const observed = atomic::cas(target, cur, offered);
+      if (observed == cur)
+        return true;  // we improved (depth, parent) atomically
+      cur = observed;
+    }
+    return false;
+  }
+};
+
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -161,8 +207,9 @@ sssp_result<typename G::weight_type> sssp_incremental(
 
 /// Incremental BFS (unit-weight SSSP on the hop lattice).  Depths are
 /// bit-identical to a cold `bfs`; parents form a valid BFS tree (kept
-/// consistent with depths through a packed 64-bit depth|parent CAS, so a
-/// parent's converged depth is always exactly one less than its child's).
+/// consistent with depths in one packed (depth, parent) word,
+/// `detail::depth_parent_program`, so a parent's converged depth is always
+/// exactly one less than its child's).
 template <typename P, typename G>
   requires execution::synchronous_policy<P>
 bfs_result<typename G::vertex_type> bfs_incremental(
@@ -172,8 +219,6 @@ bfs_result<typename G::vertex_type> bfs_incremental(
                         typename G::weight_type> const& delta,
     incremental_outcome* outcome = nullptr) {
   using V = typename G::vertex_type;
-  using E = typename G::edge_type;
-  using W = typename G::weight_type;
   static_assert(sizeof(V) <= sizeof(std::uint32_t),
                 "bfs_incremental packs (depth, parent) into one u64 word");
   std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
@@ -190,25 +235,18 @@ bfs_result<typename G::vertex_type> bfs_incremental(
     return cold;
   }
 
-  constexpr std::uint32_t kUnset = 0xffffffffu;  // depth/parent sentinel
-  auto const pack = [](std::uint32_t depth, std::uint32_t parent) {
-    return (static_cast<std::uint64_t>(depth) << 32) | parent;
+  using word = detail::depth_parent_program;
+  auto const encode = [](V x) {
+    return x == V{-1} ? word::unset : static_cast<std::uint32_t>(x);
   };
-  auto const depth_of = [](std::uint64_t word) {
-    return static_cast<std::uint32_t>(word >> 32);
+  auto const decode = [](std::uint32_t x) {
+    return x == word::unset ? V{-1} : static_cast<V>(x);
   };
 
   std::vector<std::uint64_t> words(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    V const d = prev.depths[v];
-    V const p = prev.parents[v];
-    words[v] = pack(d == V{-1} ? kUnset : static_cast<std::uint32_t>(d),
-                    p == V{-1} ? kUnset : static_cast<std::uint32_t>(p));
-  }
-  std::uint64_t* const w = words.data();
+  for (std::size_t v = 0; v < n; ++v)
+    words[v] = word::pack(encode(prev.depths[v]), encode(prev.parents[v]));
 
-  // Relax (depth, parent) as one packed word, so a parent's converged
-  // depth is always exactly one less than its child's.
   auto const stats = relax_bsp(
       policy, g,
       detail::delta_seeds(delta, n, /*both_endpoints=*/false,
@@ -216,31 +254,14 @@ bfs_result<typename G::vertex_type> bfs_incremental(
                             return prev.depths[static_cast<std::size_t>(v)] !=
                                    V{-1};
                           }),
-      [w, depth_of, pack](V const src, V const dst, E const /*e*/,
-                          W const /*weight*/) {
-        std::uint32_t const ds = depth_of(atomic::load(&w[src]));
-        if (ds == kUnset)
-          return false;
-        std::uint32_t const nd = ds + 1;
-        std::uint64_t cur = atomic::load(&w[dst]);
-        while (nd < depth_of(cur)) {
-          std::uint64_t const observed = atomic::cas(
-              &w[dst], cur, pack(nd, static_cast<std::uint32_t>(src)));
-          if (observed == cur)
-            return true;  // we improved (depth, parent) atomically
-          cur = observed;
-        }
-        return false;
-      });
+      word{words.data()});
 
   bfs_result<V> result;
   result.depths.resize(n);
   result.parents.resize(n);
   for (std::size_t v = 0; v < n; ++v) {
-    std::uint32_t const d = depth_of(words[v]);
-    std::uint32_t const p = static_cast<std::uint32_t>(words[v]);
-    result.depths[v] = d == kUnset ? V{-1} : static_cast<V>(d);
-    result.parents[v] = p == kUnset ? V{-1} : static_cast<V>(p);
+    result.depths[v] = decode(word::depth(words[v]));
+    result.parents[v] = decode(word::parent(words[v]));
   }
   result.iterations = stats.iterations;
   detail::note_outcome(outcome, true, delta.size(), stats.iterations,

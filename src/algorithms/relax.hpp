@@ -9,7 +9,8 @@
 ///
 /// where the cost is the edge weight (SSSP), 0 (CC labels) or 1 (BFS
 /// hops).  This header holds the program once, as `min_plus_condition`,
-/// and one loop per timing/communication model of PAPER.md Table I:
+/// its pull superstep `relax_pull`, and one loop per timing/communication
+/// model of PAPER.md Table I:
 ///  - `relax_bsp` — bulk-synchronous from a seed set: advance, uniquify,
 ///    repeat until the frontier is empty; on graphs with a CSC view, dense
 ///    supersteps pull instead (`enactor::direction_loop`).  Cold runs seed
@@ -26,12 +27,19 @@
 /// connected_components.hpp and incremental.hpp seeds one of these loops;
 /// the variants differ only in the seed, the cost and the value lattice.
 ///
-/// Two memory models, deliberately separate:
-///  - `relax` / `min_plus_condition` — atomic (CAS-loop min via
-///    atomic::min) for state shared across lanes;
-///  - `relax_plain` — plain write for single-owner state (the serial
-///    oracles, the Safra loop's rank-local arrays).
+/// The two directions write differently:
+///  - push (`min_plus_condition` called as an edge condition): many lanes
+///    may lower one destination, so the write is an atomic min (a CAS loop,
+///    `relax`);
+///  - pull (`relax_pull`): each destination folds every in-edge on the one
+///    lane that owns it and stores the result once; min is idempotent and
+///    a source outside the frontier cannot improve its out-neighbours, so
+///    the fold needs neither a frontier probe nor a read-modify-write.
+/// `relax_plain` is the plain write for single-owner state (the serial
+/// oracles, the Safra loop's rank-local arrays).
 
+#include <algorithm>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -45,9 +53,11 @@
 #include "core/frontier/frontier.hpp"
 #include "core/operators/advance.hpp"
 #include "core/operators/filter.hpp"
+#include "core/telemetry.hpp"
 #include "core/types.hpp"
 #include "mpsim/communicator.hpp"
 #include "parallel/atomics.hpp"
+#include "parallel/for_each.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace essentials::algorithms {
@@ -92,21 +102,60 @@ struct constant_cost {
   }
 };
 
-/// The min-plus edge condition (Listing 4's lambda): snapshot value[src]
-/// with an atomic load (another lane may be lowering it; a stale value
-/// only costs a re-relaxation), atomic-min value[dst] with the candidate,
-/// and keep dst iff this call lowered it.  Costs are stateless so the
-/// condition carries nothing but the value array.
-template <typename Cost = weight_cost, typename T>
-inline auto min_plus_condition(T* value) {
+/// The min-plus program over `value`, in both directions.  Called as an
+/// edge condition it is the push side, Listing 4's lambda: snapshot
+/// value[src] with an atomic load (another lane may be lowering it; a
+/// stale value only costs a re-relaxation), atomic-min value[dst] with the
+/// candidate, and keep dst iff this call lowered it.  `offer` and
+/// `improves` are what the pull step (`relax_pull`) folds a destination's
+/// in-edges with.  Costs are stateless so the program carries nothing but
+/// the value array.
+template <typename Cost, typename T>
+struct min_plus_program {
   static_assert(std::is_empty_v<Cost>, "cost functors must be stateless");
-  return [value](auto const src, auto const dst, auto const /*edge*/,
-                 auto const weight) {
+  T* value;
+
+  bool operator()(auto const src, auto const dst, auto const /*edge*/,
+                  auto const weight) const {
     T const candidate = static_cast<T>(
         atomic::load(&value[static_cast<std::size_t>(src)]) + Cost{}(weight));
     return relax(value, static_cast<std::size_t>(dst), candidate);
-  };
+  }
+
+  /// What a source holding `x` offers across an edge: x + cost.  An
+  /// unreached source must improve nothing.  An integer one offers
+  /// infinity, not a sum that would overflow.  A floating-point sum needs
+  /// no test, since infinity_v (the largest finite value) plus a
+  /// non-negative cost rounds to itself or to +inf; the test would be a
+  /// branch on which sources a pull meets, which cost about a third of an
+  /// SSSP call (EXPERIMENTS.md B6).
+  T offer(auto const /*src*/, T const x, auto const weight) const {
+    if constexpr (std::is_floating_point_v<T>)
+      return static_cast<T>(x + Cost{}(weight));
+    else
+      return x == infinity_v<T> ? x : static_cast<T>(x + Cost{}(weight));
+  }
+  static bool improves(T const a, T const b) { return a < b; }
+};
+
+/// The min-plus program with edge cost `Cost` over `value`.
+template <typename Cost = weight_cost, typename T>
+inline min_plus_program<Cost, T> min_plus_condition(T* value) {
+  return {value};
 }
+
+/// A program `relax_pull` can fold: a value array, the value a source
+/// offers across an in-edge, and the order in which an offer improves a
+/// value.  The value of an unreached source must improve nothing.
+template <typename Prog, typename G>
+concept pull_program =
+    requires(Prog const& p, typename G::vertex_type v,
+             typename G::weight_type w) {
+      {
+        p.offer(v, *p.value, w)
+      } -> std::same_as<std::remove_cvref_t<decltype(*p.value)>>;
+      { Prog::improves(*p.value, *p.value) } -> std::same_as<bool>;
+    };
 
 /// Weight-banded condition for delta-stepping: only edges with weight in
 /// [lo, hi) relax (light waves pass [0, Δ), the heavy pass [Δ, ∞)).
@@ -146,37 +195,119 @@ frontier::sparse_frontier<typename G::vertex_type> relax_step(
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
+// Pull superstep
+// ---------------------------------------------------------------------------
+
+/// One pull superstep of `program` (GraphLab's gather and apply): every
+/// destination folds what all of its in-edges offer, keeps the best, and
+/// if that improves its value writes the value once (release store) and
+/// joins the output.  The vertices go one bitmap word (64 ids) per step,
+/// each word owned by one lane, so a destination has one writer and needs
+/// no atomic read-modify-write; other lanes only read it as a source.
+///
+/// `in` does not select sources: there is no membership probe, and the
+/// output does not depend on `in` (it only sizes the telemetry record).
+/// That is sound for a BSP loop's frontier: a vertex outside it has had
+/// its current value relaxed along every out-edge, so what it offers
+/// improves nothing — reading it costs a load and never changes a result,
+/// and the fixed point, hence every value, is the push loop's.  A fold may
+/// read a source another lane lowered earlier in the same superstep;
+/// values only fall, so that can only save a superstep.
+///
+/// Telemetry records the op as `advance_pull`: `edges_inspected` counts
+/// every in-edge folded, `edges_relaxed` the destinations improved.
+template <typename P, typename G, typename Prog>
+  requires execution::synchronous_policy<P> && (G::has_csc) &&
+           pull_program<Prog, G>
+frontier::dense_frontier<typename G::vertex_type> relax_pull(
+    P policy, G const& g,
+    frontier::dense_frontier<typename G::vertex_type> const& in,
+    Prog const& program) {
+  using V = typename G::vertex_type;
+  std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
+  auto const probe =
+      telemetry::make_probe("advance_pull", policy, telemetry::probe_items(in));
+  frontier::dense_frontier<V> out(n);
+  auto const word_body = [&](std::size_t wi) {
+    // Base pointers held in locals: GCC keeps no memory read in a register
+    // across the per-edge atomic load, so through the graph's accessors
+    // (or this closure's captures) every in-edge would reload them.
+    auto* const value = program.value;
+    auto const* const sources = g.csc().row_indices.data();
+    auto const* const weights = g.csc().values.data();
+    std::size_t const first = wi * 64;
+    std::size_t const last = std::min(n, first + 64);
+    std::uint64_t improved = 0;
+    std::size_t folded = 0;
+    for (std::size_t i = first; i < last; ++i) {
+      auto const own = value[i];  // this lane is i's only writer
+      auto best = own;
+      auto const edges = g.get_in_edges(static_cast<V>(i));
+      folded += edges.size();
+      for (auto const e : edges) {
+        V const u = sources[e];
+        auto const offered = program.offer(
+            u, atomic::load_relaxed(&value[static_cast<std::size_t>(u)]),
+            weights[e]);
+        if (Prog::improves(offered, best))
+          best = offered;
+      }
+      if (Prog::improves(best, own)) {
+        atomic::store(&value[i], best);
+        improved |= std::uint64_t{1} << (i - first);
+      }
+    }
+    if (improved != 0)
+      out.add_word(wi, improved);
+    probe.add_edges(folded,
+                    static_cast<std::size_t>(__builtin_popcountll(improved)));
+  };
+  std::size_t const num_words = (n + 63) / 64;
+  if constexpr (std::decay_t<P>::is_parallel) {
+    // A word is 64 vertices, so the per-word grain divides the (vertex)
+    // advance grain by 64, floored at 1.
+    parallel::parallel_for(policy.pool(), std::size_t{0}, num_words,
+                           word_body,
+                           std::max<std::size_t>(policy.edge_grain / 64, 1));
+  } else {
+    for (std::size_t wi = 0; wi < num_words; ++wi)
+      word_body(wi);
+  }
+  if (probe)
+    probe.set_items_out(out.size());
+  return out;
+}
+
+// ---------------------------------------------------------------------------
 // Bulk-synchronous loop
 // ---------------------------------------------------------------------------
 
 /// Bulk-synchronous relaxation from `seeds` (their values already set)
-/// until no relaxation improves anything.  `cond` is `min_plus_condition`
-/// or any condition with its contract (keep dst iff this call improved
-/// it); the contract holds in either direction, so on a graph with a CSC
-/// view the loop is `enactor::direction_loop`: a sparse superstep is a
-/// push `relax_step`, a dense one pulls every vertex's in-edges through
-/// the same condition (`advance_pull` with no candidate set, since any
-/// value can improve again), and Beamer's switch picks the direction with
-/// every in-edge as the pull side's work.  Graphs with only a CSR view
-/// (`graph_csr`, the compressed and the partitioned graph) push every
-/// superstep.
-template <typename P, typename G, typename Cond>
+/// until no relaxation improves anything.  `program` is
+/// `min_plus_condition` or any program with its contract: as a condition,
+/// keep dst iff this call improved it; as a `pull_program`, fold.  On a
+/// graph with a CSC view the loop is `enactor::direction_loop`: a sparse
+/// superstep is a push `relax_step`, a dense one is `relax_pull` over every
+/// in-edge, and Beamer's switch picks the direction with every in-edge as
+/// the pull side's work.  Graphs with only a CSR view (`graph_csr`, the
+/// compressed and the partitioned graph) push every superstep.
+template <typename P, typename G, typename Prog>
   requires execution::synchronous_policy<P>
 enactor::enact_stats relax_bsp(P policy, G const& g,
                                std::vector<typename G::vertex_type> seeds,
-                               Cond cond) {
+                               Prog program) {
   using V = typename G::vertex_type;
   frontier::sparse_frontier<V> f(std::move(seeds));
   auto const push = [&](frontier::sparse_frontier<V> in,
                         std::size_t /*iteration*/) {
-    return detail::relax_step(policy, g, in, cond);
+    return detail::relax_step(policy, g, in, program);
   };
   if constexpr (G::has_csr && G::has_csc) {
     auto const m = static_cast<std::size_t>(g.get_num_edges());
     return enactor::direction_loop(
         policy, g, std::move(f), enactor::direction_switch{}, push,
         [&](frontier::dense_frontier<V> in, std::size_t /*iteration*/) {
-          return operators::advance_pull<false>(policy, g, in, cond);
+          return relax_pull(policy, g, in, program);
         },
         [m](auto const& /*frontier*/) { return m; });
   } else {

@@ -5,11 +5,13 @@
 /// (Listing 4) — in each timing/communication/direction model, plus the
 /// serial textbook baselines the parallel versions are validated against.
 ///
-/// Variants (all but the pull scan and the baselines seed a loop of
-/// algorithms/relax.hpp with the source and the weight cost):
-///  - `sssp` (push, BSP, shared memory): Listing 4 — `relax_bsp`.
+/// Variants (all but the baselines run algorithms/relax.hpp's min-plus
+/// program with the weight cost from the source):
+///  - `sssp` (push, BSP, shared memory): Listing 4 — `relax_bsp`, which
+///    pulls its dense supersteps on a graph with a CSC view.
 ///    Policy-parameterized.
-///  - `sssp_pull` (pull, BSP): dense frontiers over the CSC view.
+///  - `sssp_pull` (pull, BSP): `relax_pull` every superstep, dense
+///    frontiers over the CSC view.
 ///  - `sssp_async` (asynchronous, shared memory): `relax_async`; no
 ///    barriers anywhere, convergence by quiescence.
 ///  - `sssp_message_passing`: `relax_message_passing` — vertices
@@ -33,7 +35,6 @@
 #include "core/enactor.hpp"
 #include "core/execution.hpp"
 #include "core/frontier/frontier.hpp"
-#include "core/operators/advance.hpp"
 #include "core/telemetry.hpp"
 #include "core/types.hpp"
 
@@ -86,13 +87,11 @@ sssp_result<typename G::weight_type> sssp(P policy, G const& g,
 // Pull BSP
 // ---------------------------------------------------------------------------
 
-/// Pull-based SSSP over the transposed (CSC) structure: every vertex scans
-/// its in-edges for active predecessors and relaxes through them.  Dense
-/// frontiers throughout — the representation pull traversal wants, since it
-/// queries membership per in-edge.  Each dst is written only by the lane
-/// that scans it, but its distance is read as a *source* by other lanes in
-/// the same superstep, so the shared atomic condition is required; with a
-/// single writer its CAS never retries.
+/// Pull-based SSSP over the transposed (CSC) structure: every superstep is
+/// `relax_pull` — each vertex folds what all of its in-edges offer and
+/// stores the best once, on the lane that owns it — with dense frontiers
+/// throughout.  `relax_bsp` runs the same step for its dense supersteps;
+/// this variant pulls every superstep, sparse ones included.
 template <typename P, typename G>
   requires execution::synchronous_policy<P> && (G::has_csc)
 sssp_result<typename G::weight_type> sssp_pull(
@@ -100,7 +99,7 @@ sssp_result<typename G::weight_type> sssp_pull(
   using V = typename G::vertex_type;
   auto result =
       detail::make_sssp_state(g, source, "sssp_pull: source out of range");
-  auto const relax_edge = min_plus_condition(result.distances.data());
+  auto const program = min_plus_condition(result.distances.data());
 
   frontier::dense_frontier<V> f(static_cast<std::size_t>(g.get_num_vertices()));
   f.add_vertex(source);
@@ -109,7 +108,7 @@ sssp_result<typename G::weight_type> sssp_pull(
       [&](frontier::dense_frontier<V> in, std::size_t /*iteration*/) {
         if (auto* const rec = telemetry::current())
           rec->set_direction(direction_t::pull, false, frontier::density(in));
-        return operators::advance_pull<false>(policy, g, in, relax_edge);
+        return relax_pull(policy, g, in, program);
       });
   result.iterations = stats.iterations;
   return result;

@@ -19,7 +19,10 @@
 ///  - direction: `advance_push` walks out-edges via CSR;
 ///    `advance_pull` walks in-edges via CSC, asking whether any *active*
 ///    predecessor satisfies the condition — for every vertex, or only for
-///    the vertices outside a `visited` bitmap (BFS's bottom-up step).
+///    the vertices outside a `visited` bitmap (BFS's bottom-up step).  The
+///    min-plus program pulls with its own step instead
+///    (`algorithms::relax_pull`): a fold over every in-edge, with no
+///    membership probe and no per-edge condition.
 ///  - representation: sparse -> sparse, sparse -> dense, dense -> dense.
 ///
 /// Sparse-output generation is itself a policy axis
@@ -329,19 +332,17 @@ frontier::dense_frontier<typename G::vertex_type> advance_push(
 /// joins the output frontier.  The input must support O(1) membership
 /// (dense frontier).  `early_exit` stops scanning a vertex's in-edges at
 /// the first hit — correct for BFS-like "any parent" programs; keep false
-/// for programs that must see every incident active edge (e.g. pull SSSP
-/// relaxations).
+/// for a condition that must see every incident active edge.
 ///
 /// Candidates (Beamer et al.'s bottom-up step): the operator walks the
 /// vertices one bitmap word (64 ids) at a time, and each word is owned by
-/// one lane.  With `visited` null every vertex is a candidate — the
-/// min-plus program, whose values can improve again.  With `visited`
-/// given, the candidates are its complement: a word whose vertices are all
-/// visited is skipped without reading an in-edge, the condition is never
-/// evaluated for a visited destination, and the vertices a word activates
-/// are marked in `visited` by the same word store that publishes them.  So
-/// the pull's work follows the unvisited in-edges, and `visited` needs no
-/// pass after the step to stay current.
+/// one lane.  With `visited` null every vertex is a candidate.  With
+/// `visited` given, the candidates are its complement: a word whose
+/// vertices are all visited is skipped without reading an in-edge, the
+/// condition is never evaluated for a visited destination, and the
+/// vertices a word activates are marked in `visited` by the same word
+/// store that publishes them.  So the pull's work follows the unvisited
+/// in-edges, and `visited` needs no pass after the step to stay current.
 ///
 /// Output invariant: a vertex is activated through the public frontier API
 /// exactly once, no matter how many of its in-edges relax — the condition
@@ -358,19 +359,11 @@ frontier::dense_frontier<typename G::vertex_type> advance_pull(
     frontier::dense_frontier<typename G::vertex_type> const& in, Cond cond,
     parallel::atomic_bitset* visited = nullptr) {
   using V = typename G::vertex_type;
-  using E = typename G::edge_type;
   std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
   auto const probe =
       telemetry::make_probe("advance_pull", policy, telemetry::probe_items(in));
   frontier::dense_frontier<V> out(n);
   std::size_t const num_words = (n + 63) / 64;
-  // Whether an in-edge's source is active is a coin flip while the
-  // frontier holds up to about half the vertices, and nearly certain once
-  // it holds most of them (the hubs are among them).  Without early exit
-  // every active in-edge runs the condition, so a scan from such a frontier
-  // gathers the active in-edges 64 at a time with no branch on membership
-  // and then runs the condition over them; otherwise it branches per edge.
-  bool const gather = !early_exit && 2 * in.size() <= n;
   auto const word_body = [&](std::size_t wi) {
     std::uint64_t candidates = ~std::uint64_t{0};
     if (wi + 1 == num_words && n % 64 != 0)
@@ -383,39 +376,16 @@ frontier::dense_frontier<typename G::vertex_type> advance_pull(
       unsigned const b = static_cast<unsigned>(__builtin_ctzll(candidates));
       candidates &= candidates - 1;
       V const v = static_cast<V>(wi * 64 + b);
-      if (!gather) {
-        for (auto const e : g.get_in_edges(v)) {
-          V const u = g.get_in_source_vertex(e);
-          if (!in.contains(u))
-            continue;
-          ++inspected;
-          if (cond(u, v, e, g.get_in_edge_weight(e))) {
-            ++relaxed;
-            hits |= std::uint64_t{1} << b;
-            if constexpr (early_exit)
-              break;
-          }
-        }
-        continue;
-      }
-      if constexpr (!early_exit) {
-        auto const edges = g.get_in_edges(v);
-        for (auto it = edges.begin(); it != edges.end();) {
-          E active[64];
-          std::size_t k = 0;
-          for (; it != edges.end() && k < 64; ++it) {
-            active[k] = *it;
-            k += in.contains(g.get_in_source_vertex(*it)) ? 1 : 0;
-          }
-          inspected += k;
-          for (std::size_t i = 0; i < k; ++i) {
-            E const e = active[i];
-            if (cond(g.get_in_source_vertex(e), v, e,
-                     g.get_in_edge_weight(e))) {
-              ++relaxed;
-              hits |= std::uint64_t{1} << b;
-            }
-          }
+      for (auto const e : g.get_in_edges(v)) {
+        V const u = g.get_in_source_vertex(e);
+        if (!in.contains(u))
+          continue;
+        ++inspected;
+        if (cond(u, v, e, g.get_in_edge_weight(e))) {
+          ++relaxed;
+          hits |= std::uint64_t{1} << b;
+          if constexpr (early_exit)
+            break;
         }
       }
     }

@@ -84,10 +84,18 @@ T exchange(T* address, T desired) {
   return ref.exchange(desired, std::memory_order_acq_rel);
 }
 
-/// Relaxed atomic load through a plain pointer (for monitoring loops).
+/// Acquire load through a plain pointer (for monitoring loops).
 template <typename T>
 T load(T const* address) {
   return std::atomic_ref<T const>(*address).load(std::memory_order_acquire);
+}
+
+/// Relaxed load through a plain pointer: a value other lanes may be
+/// lowering, read when nothing else is published with it (a pull fold's
+/// sources).
+template <typename T>
+T load_relaxed(T const* address) {
+  return std::atomic_ref<T const>(*address).load(std::memory_order_relaxed);
 }
 
 /// Release store through a plain pointer.

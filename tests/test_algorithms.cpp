@@ -5,11 +5,13 @@
 
 #include <cmath>
 #include <numeric>
+#include <set>
 
 #include "algorithms/betweenness.hpp"
 #include "algorithms/coloring.hpp"
 #include "algorithms/connected_components.hpp"
 #include "algorithms/hits.hpp"
+#include "algorithms/incremental.hpp"
 #include "algorithms/kcore.hpp"
 #include "algorithms/pagerank.hpp"
 #include "algorithms/spmv.hpp"
@@ -167,6 +169,54 @@ TEST(ConnectedComponents, CountsIslandsAndClusters) {
   EXPECT_EQ(r.labels[3], r.labels[4]);
   EXPECT_NE(r.labels[0], r.labels[3]);
   EXPECT_EQ(r.labels[5], 5);
+}
+
+TEST(ConnectedComponents, EveryVariantCountsIsolatedVertices) {
+  // A sparse random graph on ids [0, 200) of 260: many small components,
+  // and ids 200..259 isolated, one component each.  Every variant's count
+  // must equal union-find's, which must equal its distinct labels.
+  auto coo = gen::erdos_renyi(200, 150, {}, 9);
+  coo.num_rows = coo.num_cols = 260;
+  g::remove_self_loops(coo);
+  std::size_t const half = coo.row_indices.size() / 2;
+  g::coo_t<> first_half;
+  first_half.num_rows = first_half.num_cols = 260;
+  g::edge_delta_t<> delta;
+  delta.complete = true;
+  for (std::size_t i = 0; i < coo.row_indices.size(); ++i) {
+    vertex_t const u = coo.row_indices[i], v = coo.column_indices[i];
+    if (i < half) {
+      first_half.push_back(u, v, coo.values[i]);
+    } else {
+      delta.records.push_back({u, v, coo.values[i], g::delta_op::insert});
+      delta.records.push_back({v, u, coo.values[i], g::delta_op::insert});
+    }
+  }
+  auto const graph = undirected(coo);
+  g::coo_t<> symmetric = coo;
+  g::symmetrize(symmetric);
+  auto const push_only = g::from_coo<g::graph_csr>(std::move(symmetric));
+
+  auto const oracle = alg::connected_components_serial(graph);
+  std::size_t const distinct =
+      std::set<vertex_t>(oracle.labels.begin(), oracle.labels.end()).size();
+  ASSERT_GT(distinct, 60u);
+  EXPECT_EQ(oracle.num_components, distinct);
+  EXPECT_EQ(alg::connected_components(ex::seq, graph).num_components,
+            distinct);
+  EXPECT_EQ(alg::connected_components(ex::par, graph).num_components,
+            distinct);
+  EXPECT_EQ(alg::connected_components(ex::par, push_only).num_components,
+            distinct);
+  EXPECT_EQ(alg::connected_components_hook(ex::par, graph).num_components,
+            distinct);
+  alg::incremental_outcome out;
+  auto const warm = alg::connected_components_incremental(
+      ex::par, graph,
+      alg::connected_components(ex::par, undirected(std::move(first_half))),
+      delta, &out);
+  EXPECT_TRUE(out.warm_started);
+  EXPECT_EQ(warm.num_components, distinct);
 }
 
 // --- triangle counting ------------------------------------------------------------

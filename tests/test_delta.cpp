@@ -28,6 +28,7 @@
 #include "algorithms/incremental.hpp"
 #include "algorithms/sssp.hpp"
 #include "core/execution.hpp"
+#include "core/telemetry.hpp"
 #include "engine/engine.hpp"
 #include "engine/registry.hpp"
 #include "engine/warm_jobs.hpp"
@@ -40,6 +41,7 @@ namespace alg = essentials::algorithms;
 namespace eng = essentials::engine;
 namespace exec = essentials::execution;
 namespace gr = essentials::graph;
+namespace tel = essentials::telemetry;
 using essentials::vertex_t;
 using essentials::weight_t;
 
@@ -80,8 +82,8 @@ void expect_same_depths(bfs_res const& warm, bfs_res const& cold) {
 
 /// Parents are run-dependent; what must hold is the BFS-tree invariant:
 /// depth[v] == depth[parent[v]] + 1 and the tree edge exists in g.
-void expect_valid_bfs_tree(bfs_res const& r, gr::graph_csr const& g,
-                           vertex_t source) {
+template <typename G>
+void expect_valid_bfs_tree(bfs_res const& r, G const& g, vertex_t source) {
   for (std::size_t v = 0; v < r.depths.size(); ++v) {
     if (r.depths[v] <= 0) {
       if (static_cast<vertex_t>(v) == source) {
@@ -524,6 +526,65 @@ TEST(DeltaIncremental, WarmEqualsColdAfterAHubFanOut) {
   EXPECT_TRUE(out_s.warm_started);
   EXPECT_TRUE(out_b.warm_started);
   EXPECT_TRUE(out_c.warm_started);
+}
+
+TEST(DeltaIncremental, WarmBfsPullsToColdDepthsAndAValidTree) {
+  // A symmetrized R-MAT on a push-pull graph, republished with the last
+  // quarter of its edges inserted.  The delta's sources seed a frontier
+  // whose out-edges pass 1/alpha of the edges, so the warm run pulls, and
+  // its pulls fold the packed (depth, parent) words — isolated vertices'
+  // unset words among them.
+  essentials::generators::rmat_options opt;
+  opt.scale = 10;
+  opt.edge_factor = 8;
+  opt.seed = 21;
+  auto drawn = essentials::generators::rmat(opt);
+  gr::remove_self_loops(drawn);
+  std::size_t const m = drawn.row_indices.size();
+  std::size_t const split = m - m / 4;
+  auto const graph_of = [&drawn](std::size_t end) {
+    gr::coo_t<> coo;
+    coo.num_rows = drawn.num_rows;
+    coo.num_cols = drawn.num_cols;
+    for (std::size_t i = 0; i < end; ++i)
+      coo.push_back(drawn.row_indices[i], drawn.column_indices[i],
+                    drawn.values[i]);
+    gr::symmetrize(coo);
+    return gr::from_coo<gr::graph_push_pull>(std::move(coo),
+                                             gr::duplicate_policy::keep_min);
+  };
+  auto const base = graph_of(split);
+  auto const full = graph_of(m);
+  gr::edge_delta_t<> delta;
+  delta.complete = true;
+  for (std::size_t i = split; i < m; ++i) {
+    vertex_t const u = drawn.row_indices[i], v = drawn.column_indices[i];
+    delta.records.push_back({u, v, drawn.values[i], gr::delta_op::insert});
+    delta.records.push_back({v, u, drawn.values[i], gr::delta_op::insert});
+  }
+
+  auto const check = [&](auto policy, char const* label) {
+    vertex_t const source = 0;
+    auto const prev = alg::bfs(policy, base, source);
+    alg::incremental_outcome out;
+    tel::trace t;
+    bfs_res warm;
+    {
+      tel::scoped_recording rec(t, "bfs_incremental");
+      warm = alg::bfs_incremental(policy, full, source, prev, delta, &out);
+    }
+    EXPECT_TRUE(out.warm_started) << label;
+    expect_same_depths(warm, alg::bfs(policy, full, source));
+    expect_valid_bfs_tree(warm, full, source);
+    if (tel::compiled_in) {
+      std::size_t pulls = 0;
+      for (auto const& s : t.supersteps)
+        pulls += s.direction == essentials::direction_t::pull ? 1 : 0;
+      EXPECT_GT(pulls, 0u) << label;
+    }
+  };
+  check(exec::seq, "seq");
+  check(exec::par, "par");
 }
 
 // ---------------------------------------------------------------------------

@@ -230,3 +230,63 @@ TEST(RelaxDirectionDirected, PullRelaxesTheEdgesPushRelaxes) {
     EXPECT_GT(par_pulls, 0u);
   }
 }
+
+// One pull superstep on a hand-built graph: the step folds every in-edge,
+// whichever vertices the input frontier holds, and activates exactly the
+// destinations whose value fell.  No vertex that falls is the source of an
+// edge, so the outcome does not depend on the order lanes fold in.
+TEST(RelaxDirectionPullStep, FoldsEveryInEdgeAndActivatesWhatFell) {
+  float const inf = essentials::infinity_v<weight_t>;
+  g::coo_t<> coo;
+  coo.num_rows = coo.num_cols = 7;
+  coo.push_back(0, 1, 1.0f);  // 1 falls from 5 to 1
+  coo.push_back(2, 1, 3.0f);  // offers 4: folded, not the best
+  coo.push_back(0, 3, 2.0f);  // 3 falls from infinity to 2
+  coo.push_back(4, 3, 1.0f);  // 4 is unreached: offers nothing
+  coo.push_back(4, 5, 1.0f);
+  coo.push_back(2, 5, 2.0f);  // offers 3, not below 5's 2
+  coo.push_back(5, 0, 1.0f);  // offers 3, not below 0
+  auto const graph = g::from_coo<g::graph_push_pull>(std::move(coo));
+  std::size_t const m = 7;
+  std::vector<weight_t> const start{0, 5, 1, inf, inf, 2, inf};
+  std::vector<weight_t> const fell{0, 1, 1, 2, inf, 2, inf};
+  std::vector<vertex_t> const activated{1, 3};
+
+  std::vector<std::vector<vertex_t>> const inputs{
+      {}, {0}, {4}, {1, 3, 6}, {0, 1, 2, 3, 4, 5, 6}};
+  auto const check = [&](auto policy, char const* label) {
+    for (auto const& members : inputs) {
+      fr::dense_frontier<vertex_t> in(7);
+      for (vertex_t const v : members)
+        in.add_vertex(v);
+      std::vector<weight_t> value = start;
+      tel::trace t;
+      fr::dense_frontier<vertex_t> out;
+      {
+        tel::scoped_recording rec(t, "relax_pull");
+        out = alg::relax_pull(policy, graph, in,
+                              alg::min_plus_condition(value.data()));
+      }
+      std::string const where =
+          std::string(label) + " with " + std::to_string(members.size()) +
+          " input vertices";
+      EXPECT_EQ(out.to_vector(), activated) << where;
+      EXPECT_EQ(value, fell) << where;
+      if (!tel::compiled_in)
+        continue;
+      std::size_t ops = 0;
+      for (auto const& s : t.supersteps)
+        for (auto const& op : s.ops) {
+          if (op.name != "advance_pull")
+            continue;
+          ++ops;
+          EXPECT_EQ(op.edges_inspected, m) << where;
+          EXPECT_EQ(op.edges_relaxed, activated.size()) << where;
+          EXPECT_EQ(op.items_out, activated.size()) << where;
+        }
+      EXPECT_EQ(ops, 1u) << where;
+    }
+  };
+  check(ex::seq, "seq");
+  check(ex::par, "par");
+}

@@ -10,6 +10,7 @@
 #include "algorithms/sssp_async_mp.hpp"
 #include "algorithms/sssp_delta.hpp"
 #include "core/execution.hpp"
+#include "core/telemetry.hpp"
 #include "generators/generators.hpp"
 #include "graph/graph.hpp"
 
@@ -17,6 +18,7 @@ namespace alg = essentials::algorithms;
 namespace ex = essentials::execution;
 namespace g = essentials::graph;
 namespace gen = essentials::generators;
+namespace tel = essentials::telemetry;
 using essentials::vertex_t;
 using essentials::weight_t;
 using essentials::infinity_v;
@@ -197,6 +199,60 @@ TEST(Sssp, AsyncAgreesAcrossWorkerCounts) {
     expect_distances_equal(alg::sssp_async(graph, 0, workers).distances,
                            oracle.distances,
                            "workers=" + std::to_string(workers));
+  }
+}
+
+// Integer distances on a push-pull graph.  A pull superstep folds every
+// in-edge, also those out of vertices the source never reaches, whose
+// distance stays at infinity_v<int>: they must offer nothing, since
+// INT_MAX + w overflows (UBSan stops the run at it), and the distances
+// must equal Dijkstra's.
+TEST(Sssp, IntegerWeightsPullPastUnreachedSources) {
+  using int_graph =
+      g::graph_t<g::csr_view<vertex_t, essentials::edge_t, int>,
+                 g::csc_view<vertex_t, essentials::edge_t, int>>;
+  gen::rmat_options opt;
+  opt.scale = 10;
+  opt.edge_factor = 8;
+  opt.seed = 3;
+  opt.weights = {1.0f, 64.0f};
+  auto const drawn = gen::rmat(opt);
+  g::coo_t<vertex_t, essentials::edge_t, int> coo;
+  coo.num_rows = drawn.num_rows;
+  coo.num_cols = drawn.num_cols;
+  for (std::size_t i = 0; i < drawn.row_indices.size(); ++i)
+    if (drawn.row_indices[i] != drawn.column_indices[i])
+      coo.push_back(drawn.row_indices[i], drawn.column_indices[i],
+                    static_cast<int>(drawn.values[i]));
+  auto const graph =
+      g::from_coo<int_graph>(std::move(coo), g::duplicate_policy::keep_min);
+
+  auto const oracle = alg::dijkstra(graph, 0).distances;
+  bool unreached_source = false;
+  for (vertex_t v = 0; v < graph.get_num_vertices(); ++v)
+    unreached_source =
+        unreached_source || (oracle[static_cast<std::size_t>(v)] ==
+                                 infinity_v<int> &&
+                             graph.get_out_degree(v) > 0);
+  ASSERT_TRUE(unreached_source);
+
+  std::size_t pulls = 0;  // relax_bsp's pull supersteps, seq and par
+  auto const run = [&](auto policy) {
+    tel::trace t;
+    std::vector<int> distances;
+    {
+      tel::scoped_recording rec(t, "sssp");
+      distances = alg::sssp(policy, graph, 0).distances;
+    }
+    for (auto const& s : t.supersteps)
+      pulls += s.direction == essentials::direction_t::pull ? 1 : 0;
+    return distances;
+  };
+  EXPECT_EQ(run(ex::seq), oracle);
+  EXPECT_EQ(run(ex::par), oracle);
+  EXPECT_EQ(alg::sssp_pull(ex::par, graph, 0).distances, oracle);
+  if (tel::compiled_in) {
+    EXPECT_GT(pulls, 0u);
   }
 }
 
