@@ -185,7 +185,7 @@ struct mssssp_result {
 /// superstep and must re-relax v's out-edges" — so one pass over an edge
 /// relaxes every search that wants it, with per-lane distance arrays
 /// (atomic-min lattice, exactly Listing 4's relaxation per lane).  This is
-/// the `execution::batch::fused` enactment behind batched engine SSSP.
+/// the fused enactment behind batched engine SSSP (engine/batch_jobs.hpp).
 /// Weights must be non-negative (same contract as `sssp`).
 template <typename P, typename G, typename MaskFn = all_lanes>
   requires execution::synchronous_policy<P>

@@ -52,21 +52,6 @@ namespace essentials::execution {
 /// cost differs.
 enum class frontier_gen : unsigned char { scan, listing3 };
 
-/// Multi-query batching knob, consumed by the engine's dequeue-time fusion
-/// window (engine/batcher.hpp) and the batchable job builders
-/// (engine/batch_jobs.hpp):
-///
-///  - `fused`       — compatible concurrent queries (same graph, epoch and
-///                    algorithm kind) may be coalesced into one lane-packed
-///                    enactment (bit-lane MS-BFS / shared-traversal SSSP
-///                    with per-lane distance arrays).  The default: pure
-///                    throughput win, per-member results are bit-identical
-///                    to unfused runs.
-///  - `independent` — opt a submission out of fusion; it always enacts on
-///                    its own (ablation baseline, or for jobs whose latency
-///                    must never ride a batch's convergence tail).
-enum class batch : unsigned char { fused, independent };
-
 /// Grain heuristic, documented once here and applied by every advance-family
 /// operator: `grain` bounds scheduling overhead for *element-wise* bodies
 /// (compute/filter/reduce touch O(1) state per index, so 256 indices

@@ -133,25 +133,31 @@ generate_stats generate_scan(parallel::thread_pool& pool, std::size_t n,
 
   // Phase 1: produce into private lanes.  grain == step pins run_blocked's
   // chunk boundaries to multiples of step (thread-pool chunking contract),
-  // so `lo / step` is a collision-free lane index.
-  pool.run_blocked(
-      n,
-      [&](std::size_t lo, std::size_t hi) {
-        auto& lane = scratch[lo / step];
-        if (dedup != nullptr) {
-          auto emit = [&lane, dedup](T v) {
-            if (dedup->test_and_set(static_cast<std::size_t>(v)))
-              lane.buf.push_back(v);
-            else
-              ++lane.suppressed;
-          };
-          body(lo, hi, emit);
-        } else {
-          auto emit = [&lane](T v) { lane.buf.push_back(v); };
-          body(lo, hi, emit);
-        }
-      },
-      step);
+  // so `lo / step` is a collision-free lane index.  The emit closure is
+  // chosen here, outside the task: each closure gets its own chunk body,
+  // so a caller that never dedups runs a body with no claim code in it,
+  // whatever other call sites the compiler has seen.
+  auto produce = [&](auto make_emit) {
+    pool.run_blocked(
+        n,
+        [&](std::size_t lo, std::size_t hi) {
+          body(lo, hi, make_emit(scratch[lo / step]));
+        },
+        step);
+  };
+  if (dedup != nullptr)
+    produce([dedup](auto& lane) {
+      return [&lane, dedup](T v) {
+        if (dedup->test_and_set(static_cast<std::size_t>(v)))
+          lane.buf.push_back(v);
+        else
+          ++lane.suppressed;
+      };
+    });
+  else
+    produce([](auto& lane) {
+      return [&lane](T v) { lane.buf.push_back(v); };
+    });
 
   // Phase 2: exclusive-scan lane sizes -> disjoint output slices, then copy
   // in parallel.  There are at most 4·lanes sizes, too few for a fork-join
@@ -196,32 +202,37 @@ generate_stats generate_listing3(parallel::thread_pool& pool, std::size_t n,
   if (n == 0)
     return stats;
   std::atomic<std::size_t> emitted{0}, suppressed{0};
-  pool.run_blocked(
-      n,
-      [&](std::size_t lo, std::size_t hi) {
-        std::size_t count = 0, hits = 0;
-        if (dedup != nullptr) {
-          auto emit = [&out, &count, &hits, dedup](T v) {
-            if (dedup->test_and_set(static_cast<std::size_t>(v))) {
-              out.add_vertex(v);  // per-element lock inside the frontier
-              ++count;
-            } else {
-              ++hits;
-            }
-          };
-          body(lo, hi, emit);
+  // As in generate_scan: one task per emit closure, chosen outside it.
+  auto produce = [&](auto make_emit) {
+    pool.run_blocked(
+        n,
+        [&](std::size_t lo, std::size_t hi) {
+          std::size_t count = 0, hits = 0;
+          body(lo, hi, make_emit(count, hits));
+          emitted.fetch_add(count, std::memory_order_relaxed);
+          if (hits)
+            suppressed.fetch_add(hits, std::memory_order_relaxed);
+        },
+        grain);
+  };
+  if (dedup != nullptr)
+    produce([&out, dedup](std::size_t& count, std::size_t& hits) {
+      return [&out, &count, &hits, dedup](T v) {
+        if (dedup->test_and_set(static_cast<std::size_t>(v))) {
+          out.add_vertex(v);  // per-element lock inside the frontier
+          ++count;
         } else {
-          auto emit = [&out, &count](T v) {
-            out.add_vertex(v);  // per-element lock inside the frontier
-            ++count;
-          };
-          body(lo, hi, emit);
+          ++hits;
         }
-        emitted.fetch_add(count, std::memory_order_relaxed);
-        if (hits)
-          suppressed.fetch_add(hits, std::memory_order_relaxed);
-      },
-      grain);
+      };
+    });
+  else
+    produce([&out](std::size_t& count, std::size_t&) {
+      return [&out, &count](T v) {
+        out.add_vertex(v);  // per-element lock inside the frontier
+        ++count;
+      };
+    });
   stats.emitted = emitted.load(std::memory_order_relaxed);
   stats.dedup_hits = suppressed.load(std::memory_order_relaxed);
   return stats;

@@ -1,33 +1,31 @@
 #pragma once
 
 /// \file engine/batch_jobs.hpp
-/// \brief Canonical batchable job bundles (cold body + fusion hints) for
-/// the engine's `submit_batch` path: BFS, SSSP and per-source closeness,
-/// all enacted through the lane-packed multi-source traversals of
-/// algorithms/msbfs.hpp.
+/// \brief Canonical batchable jobs (cold body + lane payload + fused body)
+/// for the engine's `submit_batch` path: BFS, SSSP and per-source
+/// closeness, all enacted through the lane-packed multi-source traversals
+/// of algorithms/msbfs.hpp.
 ///
 /// The bit-identity contract, and how these builders keep it: a batchable
-/// job's *cold* body (what runs when no compatible partner is queued) is a
-/// **one-lane** `multi_source_bfs` / `multi_source_sssp` — the same code
-/// path the fused body runs with N lanes.  Lane l of a fused wave and a
-/// solo run of the same query therefore execute the identical
-/// level-synchronous (BFS) or min-lattice (SSSP) fixed-point computation,
-/// so per-member results are bit-identical whether the query fused with 63
-/// others or ran alone — differentially verified in tests/test_batch.cpp.
+/// job's *cold* body (what runs when no compatible partner survives
+/// triage) is its fused body over **one lane** of `multi_source_bfs` /
+/// `multi_source_sssp`.  Lane l of a fused wave and a solo run of the same
+/// query therefore execute the identical level-synchronous (BFS) or
+/// min-lattice (SSSP) fixed-point computation, so per-member results are
+/// bit-identical whether the query fused with 63 others or ran alone —
+/// differentially verified in tests/test_batch.cpp.
 /// (This is also why the payloads are dedicated `*_lanes_result` types
 /// rather than `bfs_result`: the single-source `bfs` tracks parents, which
 /// are race-dependent, and its `iterations` is batch-wide under fusion —
 /// neither belongs in a result that must compare bit-for-bit.)
 ///
-/// Per-member control inside a fused wave: the cold body threads
-/// `ctx.should_stop()` as a 1-lane mask; the fused body wraps the wave's
-/// contexts in `live_lane_mask`.  Either way a fired deadline/cancel masks
+/// Per-member control inside a fused wave: the fused body wraps the
+/// wave's contexts in `live_lane_mask`, so a fired deadline/cancel masks
 /// the lane out of the traversal at the next superstep and the body
 /// returns null for it — the scheduler classifies from the fired record.
 ///
-/// Opting out: pass `execution::batch::independent` and the builder leaves
-/// `hints.fused` null; `submit_batch` then degrades to the plain unfused
-/// submission path.
+/// All three builders are one template, `detail::lane_job`: a multi-source
+/// traversal plus the lane's payload extractor.
 ///
 /// Usage:
 ///   auto j = engine.submit_batch(
@@ -40,7 +38,6 @@
 #include <vector>
 
 #include "algorithms/msbfs.hpp"
-#include "core/execution.hpp"
 #include "engine/batcher.hpp"
 #include "engine/engine.hpp"
 
@@ -75,133 +72,44 @@ struct closeness_lane_result {
 
 namespace detail {
 
-/// The cold bodies' 1-lane mask: lane 0 runs until this member's own
-/// deadline/cancel guard fires — the same per-superstep re-evaluation
-/// `live_lane_mask` performs for a fused wave.
-struct solo_lane_mask {
-  job_context const* ctx;
-  std::uint64_t operator()(std::size_t /*superstep*/) const {
-    return ctx->should_stop() ? 0 : ~std::uint64_t{0};
-  }
-};
-
-/// Unpack a wave's payloads (member sources) and contexts.
-template <typename V>
-void unpack_lanes(std::vector<batch_lane> const& lanes,
-                  std::vector<V>& sources, std::vector<job_context*>& ctxs) {
-  sources.reserve(lanes.size());
-  ctxs.reserve(lanes.size());
-  for (auto const& lane : lanes) {
-    sources.push_back(*std::static_pointer_cast<V const>(lane.payload));
-    ctxs.push_back(lane.ctx);
-  }
-}
-
-/// True when this lane's result must be withheld (guard fired: the
-/// scheduler will retire the member deadline_expired / cancelled and a
+/// One lane job over source `source`: `traverse(g, sources, lane_mask)`
+/// runs the multi-source traversal, `lane_result(r, i)` moves lane i's
+/// payload out of its result.  Lanes whose guard fired get no payload (the
+/// scheduler retires them `deadline_expired` / `cancelled`, and a
 /// truncated payload must never surface or cache).
-inline bool lane_fired(job_context const* ctx) {
-  return ctx != nullptr && ctx->fired() != job_context::kFiredNone;
-}
-
-}  // namespace detail
-
-// --- BFS -------------------------------------------------------------------
-
-template <typename GraphT, typename P>
-batchable_job<GraphT> bfs_batch_job(
-    P policy, typename GraphT::vertex_type source,
-    execution::batch mode = execution::batch::fused) {
+template <typename GraphT, typename Traverse, typename LaneResult>
+batchable_job<GraphT> lane_job(typename GraphT::vertex_type source,
+                               Traverse traverse, LaneResult lane_result) {
   using V = typename GraphT::vertex_type;
-  batchable_job<GraphT> bj;
-  bj.cold = [policy, source](GraphT const& g, job_context& ctx)
-      -> std::shared_ptr<void const> {
-    auto r = algorithms::multi_source_bfs(policy, g, std::vector<V>{source},
-                                          detail::solo_lane_mask{&ctx});
-    if (ctx.fired() != job_context::kFiredNone)
-      return nullptr;
-    auto out = std::make_shared<bfs_lanes_result<V>>();
-    out->depths = std::move(r.depth[0]);
-    out->levels = r.lane_levels[0];
-    return out;
-  };
-  if (mode == execution::batch::independent)
-    return bj;  // hints.fused stays null: always enacts alone
-  bj.hints.payload = std::make_shared<V const>(source);
-  bj.hints.max_lanes = 64;
-  bj.hints.fused = [policy](GraphT const& g,
-                            std::vector<batch_lane> const& lanes)
+  auto fused = [traverse, lane_result](GraphT const& g,
+                                       std::vector<batch_lane> const& lanes)
       -> fused_outcome {
     std::vector<V> sources;
     std::vector<job_context*> ctxs;
-    detail::unpack_lanes<V>(lanes, sources, ctxs);
-    auto r = algorithms::multi_source_bfs(policy, g, sources,
-                                          live_lane_mask{std::move(ctxs)});
+    sources.reserve(lanes.size());
+    ctxs.reserve(lanes.size());
+    for (auto const& lane : lanes) {
+      sources.push_back(*std::static_pointer_cast<V const>(lane.payload));
+      ctxs.push_back(lane.ctx);
+    }
+    auto r = traverse(g, sources, live_lane_mask{ctxs});
     fused_outcome out;
     out.edge_passes = 1;  // one traversal served every lane
     out.results.resize(lanes.size());
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      if (detail::lane_fired(lanes[i].ctx))
-        continue;
-      auto res = std::make_shared<bfs_lanes_result<V>>();
-      res->depths = std::move(r.depth[i]);
-      res->levels = r.lane_levels[i];
-      out.results[i] = std::move(res);
-    }
+    for (std::size_t i = 0; i < lanes.size(); ++i)
+      if (ctxs[i]->fired() == job_context::kFiredNone)
+        out.results[i] = lane_result(r, i);
     return out;
   };
-  return bj;
-}
-
-// --- SSSP ------------------------------------------------------------------
-
-template <typename GraphT, typename P>
-batchable_job<GraphT> sssp_batch_job(
-    P policy, typename GraphT::vertex_type source,
-    execution::batch mode = execution::batch::fused) {
-  using V = typename GraphT::vertex_type;
-  using W = typename GraphT::weight_type;
+  auto payload = std::make_shared<V const>(source);
   batchable_job<GraphT> bj;
-  bj.cold = [policy, source](GraphT const& g, job_context& ctx)
-      -> std::shared_ptr<void const> {
-    auto r = algorithms::multi_source_sssp(policy, g, std::vector<V>{source},
-                                           detail::solo_lane_mask{&ctx});
-    if (ctx.fired() != job_context::kFiredNone)
-      return nullptr;
-    auto out = std::make_shared<sssp_lanes_result<W>>();
-    out->distances = std::move(r.dist[0]);
-    return out;
+  bj.cold = [fused, payload](GraphT const& g, job_context& ctx) {
+    return fused(g, {batch_lane{payload, &ctx}}).results.front();
   };
-  if (mode == execution::batch::independent)
-    return bj;
-  bj.hints.payload = std::make_shared<V const>(source);
-  bj.hints.max_lanes = 64;
-  bj.hints.fused = [policy](GraphT const& g,
-                            std::vector<batch_lane> const& lanes)
-      -> fused_outcome {
-    std::vector<V> sources;
-    std::vector<job_context*> ctxs;
-    detail::unpack_lanes<V>(lanes, sources, ctxs);
-    auto r = algorithms::multi_source_sssp(policy, g, sources,
-                                           live_lane_mask{std::move(ctxs)});
-    fused_outcome out;
-    out.edge_passes = 1;
-    out.results.resize(lanes.size());
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      if (detail::lane_fired(lanes[i].ctx))
-        continue;
-      auto res = std::make_shared<sssp_lanes_result<W>>();
-      res->distances = std::move(r.dist[i]);
-      out.results[i] = std::move(res);
-    }
-    return out;
-  };
+  bj.payload = std::move(payload);
+  bj.fused = std::move(fused);
   return bj;
 }
-
-// --- Per-source harmonic closeness -----------------------------------------
-
-namespace detail {
 
 template <typename V>
 double harmonic_from_depths(std::vector<V> const& depths) {
@@ -214,50 +122,66 @@ double harmonic_from_depths(std::vector<V> const& depths) {
 
 }  // namespace detail
 
+// --- BFS -------------------------------------------------------------------
+
+template <typename GraphT, typename P>
+batchable_job<GraphT> bfs_batch_job(P policy,
+                                    typename GraphT::vertex_type source) {
+  using V = typename GraphT::vertex_type;
+  return detail::lane_job<GraphT>(
+      source,
+      [policy](GraphT const& g, std::vector<V> const& sources,
+               live_lane_mask const& mask) {
+        return algorithms::multi_source_bfs(policy, g, sources, mask);
+      },
+      [](auto& r, std::size_t i) {
+        auto out = std::make_shared<bfs_lanes_result<V>>();
+        out->depths = std::move(r.depth[i]);
+        out->levels = r.lane_levels[i];
+        return out;
+      });
+}
+
+// --- SSSP ------------------------------------------------------------------
+
+template <typename GraphT, typename P>
+batchable_job<GraphT> sssp_batch_job(P policy,
+                                     typename GraphT::vertex_type source) {
+  using V = typename GraphT::vertex_type;
+  using W = typename GraphT::weight_type;
+  return detail::lane_job<GraphT>(
+      source,
+      [policy](GraphT const& g, std::vector<V> const& sources,
+               live_lane_mask const& mask) {
+        return algorithms::multi_source_sssp(policy, g, sources, mask);
+      },
+      [](auto& r, std::size_t i) {
+        auto out = std::make_shared<sssp_lanes_result<W>>();
+        out->distances = std::move(r.dist[i]);
+        return out;
+      });
+}
+
+// --- Per-source harmonic closeness -----------------------------------------
+
 /// Closeness of *one* source vertex — the shape closeness/diameter-style
 /// analytics submit per vertex, and exactly what the 64 lanes amortize:
 /// a burst of per-source closeness queries costs one edge pass per wave.
 template <typename GraphT, typename P>
 batchable_job<GraphT> closeness_batch_job(
-    P policy, typename GraphT::vertex_type source,
-    execution::batch mode = execution::batch::fused) {
+    P policy, typename GraphT::vertex_type source) {
   using V = typename GraphT::vertex_type;
-  batchable_job<GraphT> bj;
-  bj.cold = [policy, source](GraphT const& g, job_context& ctx)
-      -> std::shared_ptr<void const> {
-    auto r = algorithms::multi_source_bfs(policy, g, std::vector<V>{source},
-                                          detail::solo_lane_mask{&ctx});
-    if (ctx.fired() != job_context::kFiredNone)
-      return nullptr;
-    auto out = std::make_shared<closeness_lane_result>();
-    out->closeness = detail::harmonic_from_depths(r.depth[0]);
-    return out;
-  };
-  if (mode == execution::batch::independent)
-    return bj;
-  bj.hints.payload = std::make_shared<V const>(source);
-  bj.hints.max_lanes = 64;
-  bj.hints.fused = [policy](GraphT const& g,
-                            std::vector<batch_lane> const& lanes)
-      -> fused_outcome {
-    std::vector<V> sources;
-    std::vector<job_context*> ctxs;
-    detail::unpack_lanes<V>(lanes, sources, ctxs);
-    auto r = algorithms::multi_source_bfs(policy, g, sources,
-                                          live_lane_mask{std::move(ctxs)});
-    fused_outcome out;
-    out.edge_passes = 1;
-    out.results.resize(lanes.size());
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      if (detail::lane_fired(lanes[i].ctx))
-        continue;
-      auto res = std::make_shared<closeness_lane_result>();
-      res->closeness = detail::harmonic_from_depths(r.depth[i]);
-      out.results[i] = std::move(res);
-    }
-    return out;
-  };
-  return bj;
+  return detail::lane_job<GraphT>(
+      source,
+      [policy](GraphT const& g, std::vector<V> const& sources,
+               live_lane_mask const& mask) {
+        return algorithms::multi_source_bfs(policy, g, sources, mask);
+      },
+      [](auto& r, std::size_t i) {
+        auto out = std::make_shared<closeness_lane_result>();
+        out->closeness = detail::harmonic_from_depths(r.depth[i]);
+        return out;
+      });
 }
 
 }  // namespace essentials::engine

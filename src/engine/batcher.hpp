@@ -19,11 +19,10 @@
 ///    *batchable*.  Carries the compatibility `key` (graph ␟ epoch ␟
 ///    algorithm — jobs fuse only when the whole tuple matches, so a batch
 ///    can never straddle an epoch publish: the fused closure pins one
-///    snapshot), the member's lane `payload` (e.g. its source vertex), and
-///    three closures bound by the engine facade: `cache_probe` (dequeue-
-///    time per-member cache re-check, run *before* lane assignment),
-///    `publish` (insert this member's converged result under its own
-///    cache key) and `fused` (the shared enactment).
+///    snapshot), the member's lane `payload` (e.g. its source vertex) and
+///    `fused`, the shared enactment bound by the engine facade.  The cache
+///    probe and insert are not part of it: the scheduler runs them for
+///    every cacheable job, fused or not.
 ///  - `batch_lane` / `fused_outcome` — the fused body's in/out shapes: one
 ///    lane per live member, each with its *own* `job_context`, results
 ///    demuxed positionally (null for lanes whose guard fired).
@@ -32,12 +31,11 @@
 ///    member whose deadline or cancel token fires is masked out of the
 ///    traversal and the batch keeps converging for everyone else.
 ///
-/// The fusion window itself (collect-by-key at dequeue, wave chunking at
-/// `max_lanes`, per-member classification/publish) lives in
-/// engine/scheduler.cpp; the algorithm-specific fused bodies live in
-/// engine/batch_jobs.hpp.  Opting out: submit with
-/// `execution::batch::independent` (engine facade) and no spec is
-/// attached — the job always enacts alone.
+/// The fusion window itself (collect-by-key at dequeue, waves of at most
+/// 64 lanes, per-member classification) is a step of the scheduler's one
+/// run sequence (engine/scheduler.cpp); the lane jobs live in
+/// engine/batch_jobs.hpp.  A query submitted without a spec (plain
+/// `submit`) always enacts alone.
 
 #include <cstddef>
 #include <cstdint>
@@ -70,7 +68,7 @@ struct fused_outcome {
   std::size_t edge_passes = 1;
 };
 
-/// The shared enactment: runs once for a wave of ≤ `max_lanes` members.
+/// The shared enactment: runs once for a wave of 2 to 64 members.
 using fused_fn = std::function<fused_outcome(std::vector<batch_lane> const&)>;
 
 /// Compatibility key for the fusion window.  U+001F separators keep graph
@@ -82,30 +80,15 @@ inline std::string make_batch_key(std::string const& graph,
 }
 
 /// Attached to a job at submission to mark it batchable.  Every member of
-/// a wave carries its own spec (own payload / cache closures); the wave is
-/// enacted through the *first* member's `fused` — sound because key
-/// equality pins the same graph snapshot content and algorithm.
+/// a wave carries its own spec (own payload); the wave is enacted through
+/// the *first* member's `fused` — sound because key equality pins the same
+/// graph snapshot content and algorithm.
 struct batch_spec {
   /// Fusion compatibility: jobs coalesce iff keys are equal.
   std::string key;
 
   /// This member's lane input, handed to the fused body positionally.
   std::shared_ptr<void const> payload;
-
-  /// Lane width of one fused enactment (≤ 64 — one bit lane each).  A
-  /// collection larger than this spills into multiple waves.
-  std::size_t max_lanes = 64;
-
-  /// Dequeue-time cache re-check for *this member's* own
-  /// `(graph, epoch, algorithm, params)` key.  Run before lane assignment:
-  /// a member another job already satisfied retires `cache_hit` and never
-  /// occupies a lane.  Null result == miss.  May be empty (never probes).
-  std::function<std::shared_ptr<void const>()> cache_probe;
-
-  /// Insert this member's converged result under its own cache key.  Called
-  /// only for members that completed unfired with a non-null result.  May
-  /// be empty (uncacheable query).
-  std::function<void(std::shared_ptr<void const> const&)> publish;
 
   /// The shared lane-packed enactment (pins its graph snapshot by value).
   fused_fn fused;

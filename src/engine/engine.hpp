@@ -6,18 +6,24 @@
 /// runs one algorithm" into "a service that runs many, concurrently, over
 /// shared mutating graphs".
 ///
-/// Query path (the protocol, also documented in docs/ARCHITECTURE.md):
+/// Query path (the protocol, also documented in docs/ARCHITECTURE.md).
+/// Every submission goes through one admission function:
 ///
-///   submit(desc, fn)
-///     ├─ registry.lookup(desc.graph)         — pin (snapshot, epoch)
-///     ├─ cache.lookup(graph, epoch, algo, params)
-///     │    └─ hit  → handle retires instantly as `cache_hit` (no queue,
-///     │             no enactment; determinism makes the result
-///     │             bit-identical to a re-run)
-///     └─ miss → scheduler.submit: priority queue → runner thread →
-///              fn(snapshot, ctx) under deadline/cancel conditions →
-///              `completed` results are inserted into the cache keyed by
-///              the epoch pinned at submission
+///   submit(desc, cold) | submit(desc, cold, warm) | submit_batch(desc, bj)
+///     └─ admit
+///        ├─ registry.lookup(desc.graph)       — pin (snapshot, epoch)
+///        ├─ unknown graph → handle retires `rejected`
+///        ├─ cache.lookup(graph, epoch, algo, params)
+///        │    └─ hit → handle retires instantly as `cache_hit` (no queue,
+///        │            no enactment; determinism makes the result
+///        │            bit-identical to a re-run)
+///        └─ miss → scheduler.submit(body, epoch, fusion spec, &cache):
+///           the entry points differ only in the body they enqueue (cold;
+///           warm-or-cold; cold plus a fusion spec).  The scheduler's one
+///           run sequence (engine/scheduler.hpp) probes the cache again at
+///           dequeue (a hit retires `cache_hit`), runs the body under
+///           deadline/cancel conditions and inserts `completed` results
+///           keyed by the epoch pinned at submission.
 ///
 ///   registry.publish(name, ...) — swaps the snapshot, bumps the epoch and
 ///   (via subscription) invalidates cache entries of that graph *only*.
@@ -54,9 +60,6 @@ struct engine_options {
   std::size_t num_runners = 2;       ///< concurrent jobs in flight
   std::size_t max_queued = 64;       ///< admission bound
   std::size_t cache_capacity = 128;  ///< result-cache entries (0 disables)
-  bool warm_starts = true;  ///< serve warm-start submissions incrementally
-  bool batching = true;     ///< fuse compatible queued jobs at dequeue time
-  std::size_t batch_window = 256;  ///< max members per fusion window
   /// Registry storage tier: when `tier_spill_dir` is non-empty (or
   /// `ESSENTIALS_OOC=1` is set in the environment) the registry demotes
   /// cold epochs to block-coded spill files and pages them back on lookup.
@@ -66,31 +69,20 @@ struct engine_options {
   std::uint64_t tier_budget_bytes = 0;
 };
 
-/// Graph-typed half of the fusion contract (the type-erased half is
-/// `batch_spec`, engine/batcher.hpp): what a batchable query hands
-/// `submit_batch` beyond its cold body.  engine/batch_jobs.hpp builds
-/// these for BFS / SSSP / closeness.
+/// A batchable query, as the lane-job builders (engine/batch_jobs.hpp)
+/// return it: its cold body plus the graph-typed half of the fusion
+/// contract (the type-erased half is `batch_spec`, engine/batcher.hpp).
 template <typename GraphT>
-struct batch_hints {
+struct batchable_job {
+  /// Runs when no compatible partner survives triage.
+  std::function<std::shared_ptr<void const>(GraphT const&, job_context&)>
+      cold;
   /// This member's lane input (e.g. its source vertex), delivered to the
   /// fused body positionally via `batch_lane::payload`.
   std::shared_ptr<void const> payload;
-  /// Lane width of one fused enactment (≤ 64).
-  std::size_t max_lanes = 64;
-  /// The shared enactment over the pinned snapshot.  Null == this query
-  /// opted out of fusion (`execution::batch::independent`); the engine
-  /// then degrades to the plain `submit` path.
+  /// The shared enactment of up to 64 members over the pinned snapshot.
   std::function<fused_outcome(GraphT const&, std::vector<batch_lane> const&)>
       fused;
-};
-
-/// A cold body + its fusion hints, as returned by the batchable job
-/// builders (engine/batch_jobs.hpp).
-template <typename GraphT>
-struct batchable_job {
-  std::function<std::shared_ptr<void const>(GraphT const&, job_context&)>
-      cold;
-  batch_hints<GraphT> hints;
 };
 
 template <typename GraphT>
@@ -118,10 +110,8 @@ class analytics_engine {
       job_context&)>;
 
   explicit analytics_engine(engine_options opt = {})
-      : warm_starts_(opt.warm_starts),
-        cache_(opt.cache_capacity, &stats_),
-        scheduler_(scheduler_options{opt.num_runners, opt.max_queued,
-                                     opt.batching, opt.batch_window},
+      : cache_(opt.cache_capacity, &stats_),
+        scheduler_(scheduler_options{opt.num_runners, opt.max_queued},
                    &stats_) {
     // Epoch publication protocol: a new epoch of graph G invalidates
     // cached results of G only; other graphs' entries survive.  Since PR 4
@@ -168,53 +158,11 @@ class analytics_engine {
 
   /// Submit an analytics query.  The returned handle is live immediately:
   /// `cache_hit` / `rejected` handles are already terminal, queued handles
-  /// retire when a runner finishes (or refuses) them.  Thread-safe.
+  /// retire when a runner finishes (or refuses) them.  A queued duplicate
+  /// whose result an identical earlier job cached while it waited retires
+  /// `cache_hit` at dequeue without enacting.  Thread-safe.
   job_ptr submit(job_desc desc, typed_job_fn fn) {
-    auto pinned = registry_.lookup(desc.graph);
-    if (!pinned) {
-      job_ptr j(new job(0, std::move(desc)));
-      job_scheduler::retire(j, job_status::rejected, nullptr,
-                            "unknown graph: " + j->desc().graph);
-      stats_.on_rejected();
-      return j;
-    }
-
-    cache_key const key{desc.graph, pinned.epoch, desc.algorithm,
-                        desc.params};
-    if (desc.use_cache && cache_.capacity() != 0) {
-      if (auto hit = cache_.lookup(key)) {
-        job_ptr j(new job(0, std::move(desc)));
-        j->epoch_ = pinned.epoch;
-        job_scheduler::retire(j, job_status::cache_hit, std::move(hit), {});
-        return j;
-      }
-      // miss already counted by cache_.lookup
-    }
-
-    bool const cacheable = desc.use_cache && cache_.capacity() != 0;
-    return scheduler_.submit(
-        std::move(desc),
-        [this, pinned, key, cacheable,
-         fn = std::move(fn)](job_context& ctx) -> std::shared_ptr<void const> {
-          // Dequeue-time re-check: an identical query that completed while
-          // this one waited in the queue supplies the result without
-          // re-enacting (duplicate suppression for bursts of the same
-          // query).  The job still retires as `completed` — determinism
-          // makes the cached result indistinguishable from a re-run.
-          if (cacheable)
-            if (auto hit = cache_.lookup(key))
-              return hit;
-          auto result = fn(*pinned.graph, ctx);
-          // Only converged results are cacheable: a deadline-truncated or
-          // cancelled enactment is a partial answer.  `fired()` reads the
-          // recorded outcome instead of re-evaluating the clock, so a job
-          // that converged just before its deadline still caches.
-          if (cacheable && result &&
-              ctx.fired() == job_context::kFiredNone)
-            cache_.insert(key, result);
-          return result;
-        },
-        pinned.epoch);
+    return admit(std::move(desc), {std::move(fn), {}, {}});
   }
 
   /// Warm-start-capable submission: like `submit(desc, cold)`, but when the
@@ -227,144 +175,22 @@ class analytics_engine {
   /// a warm seed available is additionally counted as a `delta_fallback`.
   /// Results are cached identically either way — determinism makes the
   /// warm-started result bit-identical to a cold enactment (differentially
-  /// verified in tests/test_delta.cpp).
+  /// verified in tests/test_delta.cpp).  An uncacheable query (`use_cache`
+  /// off, or no cache) has no warm seed and always runs cold.
   job_ptr submit(job_desc desc, typed_job_fn cold, warm_job_fn warm) {
-    auto pinned = registry_.lookup(desc.graph);
-    if (!pinned) {
-      job_ptr j(new job(0, std::move(desc)));
-      job_scheduler::retire(j, job_status::rejected, nullptr,
-                            "unknown graph: " + j->desc().graph);
-      stats_.on_rejected();
-      return j;
-    }
-
-    cache_key const key{desc.graph, pinned.epoch, desc.algorithm,
-                        desc.params};
-    bool const cacheable = desc.use_cache && cache_.capacity() != 0;
-    if (cacheable) {
-      if (auto hit = cache_.lookup(key)) {
-        job_ptr j(new job(0, std::move(desc)));
-        j->epoch_ = pinned.epoch;
-        job_scheduler::retire(j, job_status::cache_hit, std::move(hit), {});
-        return j;
-      }
-    }
-
-    return scheduler_.submit(
-        std::move(desc),
-        [this, pinned, key, cacheable, cold = std::move(cold),
-         warm = std::move(warm)](
-            job_context& ctx) -> std::shared_ptr<void const> {
-          if (cacheable)
-            if (auto hit = cache_.lookup(key))
-              return hit;  // dequeue-time duplicate suppression
-          std::shared_ptr<void const> result;
-          bool enacted_warm = false;
-          if (warm_starts_ && cacheable) {
-            // Warm probe at *run* time, not submit time: a duplicate job
-            // that completed while we queued has already refreshed the
-            // cache (handled above), and a publish that happened while we
-            // queued cannot help us — our epoch pin is fixed.
-            if (auto seed = cache_.lookup_warm(key)) {
-              auto const delta =
-                  registry_.delta_between(key.graph, seed.epoch, key.epoch);
-              if (delta.complete) {
-                result = warm(*pinned.graph, seed.value, delta, ctx);
-                enacted_warm = true;
-              } else {
-                // A seed existed but the delta chain is broken: cold run,
-                // counted so operators can see missed warm opportunities.
-                ctx.note_delta_fallback();
-              }
-            }
-          }
-          if (!enacted_warm)
-            result = cold(*pinned.graph, ctx);
-          if (cacheable && result && ctx.fired() == job_context::kFiredNone)
-            cache_.insert(key, result);
-          return result;
-        },
-        pinned.epoch);
+    return admit(std::move(desc), {std::move(cold), {}, {}}, std::move(warm));
   }
 
-  /// Batchable submission: like `submit(desc, cold)`, but the job also
-  /// carries fusion hints — at dequeue time the scheduler coalesces every
-  /// queued job with the same `(graph, epoch, algorithm)` key into one
-  /// lane-packed enactment (engine/batcher.hpp), demuxing per-member
+  /// Batchable submission: like `submit(desc, bj.cold)`, but the job also
+  /// carries a fusion spec — at dequeue time the scheduler coalesces every
+  /// queued job with the same `(graph, epoch, algorithm)` key into
+  /// lane-packed enactments (engine/batcher.hpp), demuxing per-member
   /// results; each member's converged result is inserted into the cache
   /// under its *own* `(graph, epoch, algorithm, params)` key, and members
   /// that individually hit the cache at dequeue time retire `cache_hit`
-  /// before lane assignment.  With null `hints.fused` (the
-  /// `execution::batch::independent` spelling) this degrades to the plain
-  /// `submit` path — the query always enacts alone.
-  job_ptr submit_batch(job_desc desc, typed_job_fn cold,
-                       batch_hints<GraphT> hints) {
-    if (!hints.fused)
-      return submit(std::move(desc), std::move(cold));
-
-    auto pinned = registry_.lookup(desc.graph);
-    if (!pinned) {
-      job_ptr j(new job(0, std::move(desc)));
-      job_scheduler::retire(j, job_status::rejected, nullptr,
-                            "unknown graph: " + j->desc().graph);
-      stats_.on_rejected();
-      return j;
-    }
-
-    cache_key const key{desc.graph, pinned.epoch, desc.algorithm,
-                        desc.params};
-    bool const cacheable = desc.use_cache && cache_.capacity() != 0;
-    if (cacheable) {
-      if (auto hit = cache_.lookup(key)) {
-        job_ptr j(new job(0, std::move(desc)));
-        j->epoch_ = pinned.epoch;
-        job_scheduler::retire(j, job_status::cache_hit, std::move(hit), {});
-        return j;
-      }
-    }
-
-    // Type-erase the fusion contract.  The key pins (graph name, epoch,
-    // algorithm): a publish between two submissions changes the epoch and
-    // therefore splits the batch — a fused wave can never straddle
-    // snapshots, because the fused closure captured this pin by value.
-    auto spec = std::make_shared<batch_spec>();
-    spec->key = make_batch_key(desc.graph, pinned.epoch, desc.algorithm);
-    spec->payload = std::move(hints.payload);
-    spec->max_lanes = hints.max_lanes;
-    if (cacheable) {
-      spec->cache_probe = [this, key]() { return cache_.lookup(key); };
-      spec->publish = [this, key](std::shared_ptr<void const> const& r) {
-        cache_.insert(key, r);
-      };
-    }
-    spec->fused = [pinned, fused = std::move(hints.fused)](
-                      std::vector<batch_lane> const& lanes) {
-      return fused(*pinned.graph, lanes);
-    };
-
-    // The solo body (no compatible partner queued) is the same wrapper the
-    // plain path uses: dequeue-time cache re-check, enact, cache insert.
-    return scheduler_.submit(
-        std::move(desc),
-        [this, pinned, key, cacheable,
-         cold = std::move(cold)](job_context& ctx)
-            -> std::shared_ptr<void const> {
-          if (cacheable)
-            if (auto hit = cache_.lookup(key))
-              return hit;
-          auto result = cold(*pinned.graph, ctx);
-          if (cacheable && result && ctx.fired() == job_context::kFiredNone)
-            cache_.insert(key, result);
-          return result;
-        },
-        pinned.epoch, std::move(spec));
-  }
-
-  /// Convenience: batchable submission from a builder's bundle
-  /// (engine/batch_jobs.hpp).
+  /// before lane assignment.
   job_ptr submit_batch(job_desc desc, batchable_job<GraphT> bj) {
-    return submit_batch(std::move(desc), std::move(bj.cold),
-                        std::move(bj.hints));
+    return admit(std::move(desc), std::move(bj));
   }
 
   /// Convenience: submit and block for the terminal status.
@@ -410,6 +236,77 @@ class analytics_engine {
   }
 
  private:
+  /// The one admission path: pin the snapshot, refuse an unknown graph,
+  /// answer a submit-time cache hit, or enqueue.  What is enqueued is
+  /// `bj.cold` — or, given `warm`, a body that picks warm or cold at run
+  /// time — plus a fusion spec when `bj.fused` is set.  A cacheable job is
+  /// bound to the cache: the scheduler probes it at dequeue and inserts
+  /// the completed result, so no body touches the exact key.
+  job_ptr admit(job_desc desc, batchable_job<GraphT> bj,
+                warm_job_fn warm = {}) {
+    auto pinned = registry_.lookup(desc.graph);
+    if (!pinned) {
+      job_ptr j(new job(0, std::move(desc)));
+      job_scheduler::retire(j, job_status::rejected, nullptr,
+                            "unknown graph: " + j->desc().graph);
+      stats_.on_rejected();
+      return j;
+    }
+
+    cache_key key = cache_key_of(desc, pinned.epoch);
+    bool const cacheable = desc.use_cache && cache_.capacity() != 0;
+    if (cacheable) {
+      if (auto hit = cache_.lookup(key)) {
+        job_ptr j(new job(0, std::move(desc)));
+        j->epoch_ = pinned.epoch;
+        job_scheduler::retire(j, job_status::cache_hit, std::move(hit), {});
+        return j;
+      }
+      // miss already counted by cache_.lookup
+    }
+
+    // Type-erase the fusion contract.  The key pins (graph name, epoch,
+    // algorithm): a publish between two submissions changes the epoch and
+    // therefore splits the batch — a fused wave can never straddle
+    // snapshots, because the fused closure captured this pin by value.
+    std::shared_ptr<batch_spec> spec;
+    if (bj.fused) {
+      spec = std::make_shared<batch_spec>();
+      spec->key = make_batch_key(desc.graph, pinned.epoch, desc.algorithm);
+      spec->payload = std::move(bj.payload);
+      spec->fused = [pinned, fused = std::move(bj.fused)](
+                        std::vector<batch_lane> const& lanes) {
+        return fused(*pinned.graph, lanes);
+      };
+    }
+
+    job_fn body;
+    if (warm && cacheable) {
+      body = [this, pinned, key = std::move(key), cold = std::move(bj.cold),
+              warm = std::move(warm)](
+                 job_context& ctx) -> std::shared_ptr<void const> {
+        // Warm probe at *run* time, not submit time: a publish that
+        // happened while we queued cannot help us — our epoch pin is fixed.
+        if (auto seed = cache_.lookup_warm(key)) {
+          auto const delta =
+              registry_.delta_between(key.graph, seed.epoch, key.epoch);
+          if (delta.complete)
+            return warm(*pinned.graph, seed.value, delta, ctx);
+          // A seed existed but the delta chain is broken: cold run,
+          // counted so operators can see missed warm opportunities.
+          ctx.note_delta_fallback();
+        }
+        return cold(*pinned.graph, ctx);
+      };
+    } else {
+      body = [pinned, cold = std::move(bj.cold)](job_context& ctx) {
+        return cold(*pinned.graph, ctx);
+      };
+    }
+    return scheduler_.submit(std::move(desc), std::move(body), pinned.epoch,
+                             std::move(spec), cacheable ? &cache_ : nullptr);
+  }
+
   /// Publish fan-out (runs on the publishing thread, post-swap, outside the
   /// registry lock).  Dead weak_ptrs are pruned in passing; the (pin,
   /// delta) pair is resolved here so threaded queries only enqueue.
@@ -438,7 +335,6 @@ class analytics_engine {
     }
   }
 
-  bool const warm_starts_;
   engine_stats stats_;
   graph_registry<GraphT> registry_;
   result_cache cache_;

@@ -28,6 +28,17 @@
 /// Admission control: the queue is bounded (`max_queued`); a submission
 /// past the bound is rejected immediately with a reason — backpressure by
 /// refusal, the serving-system alternative to unbounded queueing collapse.
+///
+/// One run sequence serves every dequeue.  A runner pops the top job and,
+/// when it is batchable, claims every queued job with the same batch key
+/// (engine/batcher.hpp).  Then, for the whole claim:
+///   1. triage each job: stamp its queue wait; retire it if its deadline
+///      elapsed or it was cancelled while queued, or `cache_hit` if its
+///      exact result landed in the bound cache meanwhile;
+///   2. enact the survivors: a lone survivor runs its own body, more run
+///      the shared fused body in waves of up to 64 lanes;
+///   3. classify each member from its own fired record, insert completed
+///      results into the bound cache, retire.
 
 #include <atomic>
 #include <chrono>
@@ -38,6 +49,7 @@
 #include <memory>
 #include <mutex>
 #include <queue>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -45,6 +57,7 @@
 
 #include "core/enactor.hpp"
 #include "core/telemetry.hpp"
+#include "engine/result_cache.hpp"
 #include "engine/stats.hpp"
 
 namespace essentials::engine {
@@ -108,6 +121,11 @@ struct job_desc {
   bool use_cache = true;
   bool record_trace = false;  ///< capture a job-tagged telemetry trace
 };
+
+/// The result-cache key of query `d` against registry epoch `epoch`.
+inline cache_key cache_key_of(job_desc const& d, std::uint64_t epoch) {
+  return {d.graph, epoch, d.algorithm, d.params};
+}
 
 /// Warm-start attribution a job body reports back through its context
 /// (written by the body on a runner thread, read by the scheduler after the
@@ -327,6 +345,9 @@ class job {
   job_fn fn_;
   std::shared_ptr<batch_spec> batch_;  ///< non-null == batchable (fusion key
                                        ///< + lane payload + fused body)
+  /// Non-null == cacheable: probed at dequeue and fed the completed result,
+  /// both under (graph, epoch, algorithm, params) of this job.
+  result_cache* cache_ = nullptr;
 };
 
 using job_ptr = std::shared_ptr<job>;
@@ -338,14 +359,6 @@ using job_ptr = std::shared_ptr<job>;
 struct scheduler_options {
   std::size_t num_runners = 2;  ///< concurrent jobs in flight (dedicated threads)
   std::size_t max_queued = 64;  ///< admission bound on *waiting* jobs
-  /// Dequeue-time fusion: when a popped job is batchable, the runner also
-  /// claims every queued job with the same batch key (up to `batch_window`
-  /// members total) and enacts them as one fused wave — spilling into
-  /// multiple ≤64-lane waves when the window out-collects the lane width.
-  /// `batching == false` disables the window entirely (ablation /
-  /// latency-isolation baseline); batchable jobs then enact one by one.
-  bool batching = true;
-  std::size_t batch_window = 256;  ///< max members claimed per fusion window
 };
 
 class job_scheduler {
@@ -368,16 +381,18 @@ class job_scheduler {
   /// backpressure the caller can act on, instead of a deadlock to debug.
   /// `graph_epoch` (engine-routed jobs) stamps the handle and the job's
   /// telemetry trace with the registry epoch it was pinned to.
-  job_ptr submit(job_desc desc, job_fn fn, std::uint64_t graph_epoch = 0);
-
-  /// Batchable submission: `batch` (non-null) marks the job fusable with
-  /// same-key queued jobs at dequeue time (see engine/batcher.hpp).  `fn`
-  /// remains the job's *solo* body — enacted when no compatible partner is
-  /// queued (or batching is disabled), so a batchable job never waits for
-  /// company.  Builders keep solo and fused bodies on the same lane-packed
-  /// code path, which is what makes fused results bit-identical.
-  job_ptr submit(job_desc desc, job_fn fn, std::uint64_t graph_epoch,
-                 std::shared_ptr<batch_spec> batch);
+  ///
+  /// `batch` (non-null) marks the job fusable with same-key queued jobs at
+  /// dequeue time (see engine/batcher.hpp).  `fn` stays the job's *solo*
+  /// body — enacted when no compatible partner survives triage, so a
+  /// batchable job never waits for company.  Builders keep solo and fused
+  /// bodies on the same lane-packed code path, which is what makes fused
+  /// results bit-identical.  `cache` (non-null, must outlive the job) binds
+  /// the job's exact query key to a result cache: a hit at dequeue retires
+  /// the job `cache_hit`, and a completed result is inserted.
+  job_ptr submit(job_desc desc, job_fn fn, std::uint64_t graph_epoch = 0,
+                 std::shared_ptr<batch_spec> batch = nullptr,
+                 result_cache* cache = nullptr);
 
   /// Stop accepting work.  `run_queued == true` drains the backlog through
   /// the runners first; otherwise queued jobs retire as `cancelled`
@@ -408,18 +423,15 @@ class job_scheduler {
   };
 
   void runner_loop();
-  void run_job(job_ptr const& j);
-  /// Claim every queued job whose batch key matches `first`'s (up to
-  /// `batch_window` members total, `first` included) — the fusion window.
-  /// Called with `mutex_` held; bumps `running_` for each claimed extra.
-  /// Returns the members in pop (priority/FIFO) order, or an empty vector
-  /// when no partner was queued (caller falls back to run_job).
-  std::vector<job_ptr> collect_batch_locked(job_ptr const& first);
-  /// Triage (queued-deadline / cancelled / per-member cache probe), then
-  /// chunk survivors into ≤max_lanes waves and enact each through the
-  /// members' shared fused body, demuxing + publishing per-member results.
-  void run_fused(std::vector<job_ptr> const& members);
-  void run_wave(std::vector<job_ptr> const& wave);
+  /// The fusion window: append to `claimed` every queued job whose batch
+  /// key matches `claimed.front()`'s, in pop (priority/FIFO) order.  Called
+  /// with `mutex_` held.
+  void claim_partners_locked(std::vector<job_ptr>& claimed);
+  /// The run sequence (file comment): triage, enact, classify and retire
+  /// every job of one claim.
+  void run(std::vector<job_ptr> const& claimed);
+  /// Steps 2 and 3 for one wave of triage survivors (1 to 64 jobs).
+  void enact(std::span<job_ptr const> wave);
   static void retire(job_ptr const& j, job_status s,
                      std::shared_ptr<void const> result, std::string error);
   void count_terminal(job_status s);

@@ -42,7 +42,7 @@ struct engine_stats_snapshot {
   std::uint64_t cache_demotions = 0;   ///< entries demoted to warm-startable
   std::uint64_t warm_start_hits = 0;   ///< enactments seeded from a warm entry
   std::uint64_t delta_fallbacks = 0;   ///< warm candidates forced onto cold path
-  std::uint64_t jobs_enacted = 0;      ///< enactments actually launched
+  std::uint64_t jobs_enacted = 0;      ///< jobs that enacted (solo or as a lane)
   std::uint64_t batches = 0;           ///< fused enactment waves launched
   std::uint64_t batched_jobs = 0;      ///< jobs served as lanes of a fused wave
   std::uint64_t edge_passes_saved = 0; ///< full traversals avoided by fusion
@@ -61,8 +61,10 @@ struct engine_stats_snapshot {
   double queue_ms_total = 0.0;         ///< sum of per-job queue wait
   double run_ms_total = 0.0;           ///< sum of per-job run wall time
 
-  /// Jobs retired in any terminal state (excluding cache hits, which never
-  /// enter the queue).
+  /// Admitted jobs that retired `completed`, `failed`, `cancelled` or
+  /// `deadline_expired`.  A queued job the cache answers at dequeue retires
+  /// `cache_hit`: it counts in `submitted` and `cache_hits`, not here.  A
+  /// submit-time hit never enters the queue.
   std::uint64_t retired() const {
     return completed + failed + cancelled + deadline_expired;
   }

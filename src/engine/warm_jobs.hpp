@@ -4,8 +4,9 @@
 /// \brief Canonical (cold, warm) job-body pairs for the warm-start-capable
 /// engine submission path (`analytics_engine::submit(desc, cold, warm)`).
 ///
-/// The cold body is exactly what a plain submission would run; the warm
-/// body wraps the matching incremental enactor
+/// Both are instances of two templates, `detail::cold_job` and
+/// `detail::warm_job`.  The cold body is exactly what a plain submission
+/// would run; the warm body wraps the matching incremental enactor
 /// (algorithms/incremental.hpp): it un-erases the stale cached result,
 /// seeds the enactment from the delta, and reports the outcome through the
 /// job context (`note_warm_start` / `note_delta_fallback`) so engine_stats
@@ -21,6 +22,7 @@
 ///                          engine::sssp_warm_job<graph_csr>(policy, src));
 
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "algorithms/bfs.hpp"
@@ -33,14 +35,40 @@ namespace essentials::engine {
 
 namespace detail {
 
-/// Shared outcome-reporting shim: warm enactments that internally fell
-/// back to the cold algorithm count as delta fallbacks, not warm hits.
-inline void report_outcome(job_context& ctx,
-                           algorithms::incremental_outcome const& out) {
-  if (out.warm_started)
-    ctx.note_warm_start(out.delta_edges, out.supersteps_saved);
-  else
-    ctx.note_delta_fallback();
+/// The one cold body: `run(g)` is the algorithm; its result is published
+/// unless the job's guard fired meanwhile.
+template <typename GraphT, typename Run>
+typename analytics_engine<GraphT>::typed_job_fn cold_job(Run run) {
+  using R = std::invoke_result_t<Run const&, GraphT const&>;
+  return [run](GraphT const& g, job_context& ctx)
+             -> std::shared_ptr<void const> {
+    auto r = run(g);
+    if (ctx.should_stop())
+      return nullptr;
+    return std::make_shared<R const>(std::move(r));
+  };
+}
+
+/// The one warm body: `run(g, prev, delta, &outcome)` is the incremental
+/// enactor, seeded by the stale result `prev` of type `R`.  Warm
+/// enactments that internally fell back to the cold algorithm count as
+/// delta fallbacks, not warm hits.
+template <typename GraphT, typename R, typename Run>
+typename analytics_engine<GraphT>::warm_job_fn warm_job(Run run) {
+  using delta_t = typename analytics_engine<GraphT>::delta_type;
+  return [run](GraphT const& g, std::shared_ptr<void const> const& prev,
+               delta_t const& delta, job_context& ctx)
+             -> std::shared_ptr<void const> {
+    algorithms::incremental_outcome out;
+    auto r = run(g, *static_cast<R const*>(prev.get()), delta, &out);
+    if (ctx.should_stop())
+      return nullptr;
+    if (out.warm_started)
+      ctx.note_warm_start(out.delta_edges, out.supersteps_saved);
+    else
+      ctx.note_delta_fallback();
+    return std::make_shared<R const>(std::move(r));
+  };
 }
 
 }  // namespace detail
@@ -50,35 +78,21 @@ inline void report_outcome(job_context& ctx,
 template <typename GraphT, typename P>
 typename analytics_engine<GraphT>::typed_job_fn sssp_cold_job(
     P policy, typename GraphT::vertex_type source) {
-  using W = typename GraphT::weight_type;
-  return [policy, source](GraphT const& g, job_context& ctx)
-             -> std::shared_ptr<void const> {
-    auto r = algorithms::sssp(policy, g, source);
-    if (ctx.should_stop())
-      return nullptr;
-    return std::make_shared<algorithms::sssp_result<W> const>(std::move(r));
-  };
+  return detail::cold_job<GraphT>([policy, source](GraphT const& g) {
+    return algorithms::sssp(policy, g, source);
+  });
 }
 
 template <typename GraphT, typename P>
 typename analytics_engine<GraphT>::warm_job_fn sssp_warm_job(
     P policy, typename GraphT::vertex_type source) {
-  using W = typename GraphT::weight_type;
-  using delta_t = typename analytics_engine<GraphT>::delta_type;
-  return [policy, source](GraphT const& g,
-                          std::shared_ptr<void const> const& prev_erased,
-                          delta_t const& delta, job_context& ctx)
-             -> std::shared_ptr<void const> {
-    auto const* prev =
-        static_cast<algorithms::sssp_result<W> const*>(prev_erased.get());
-    algorithms::incremental_outcome out;
-    auto r = algorithms::sssp_incremental(policy, g, source, *prev, delta,
-                                          &out);
-    if (ctx.should_stop())
-      return nullptr;
-    detail::report_outcome(ctx, out);
-    return std::make_shared<algorithms::sssp_result<W> const>(std::move(r));
-  };
+  using R = algorithms::sssp_result<typename GraphT::weight_type>;
+  return detail::warm_job<GraphT, R>(
+      [policy, source](GraphT const& g, R const& prev, auto const& delta,
+                       algorithms::incremental_outcome* out) {
+        return algorithms::sssp_incremental(policy, g, source, prev, delta,
+                                            out);
+      });
 }
 
 // --- BFS -------------------------------------------------------------------
@@ -86,69 +100,41 @@ typename analytics_engine<GraphT>::warm_job_fn sssp_warm_job(
 template <typename GraphT, typename P>
 typename analytics_engine<GraphT>::typed_job_fn bfs_cold_job(
     P policy, typename GraphT::vertex_type source) {
-  using V = typename GraphT::vertex_type;
-  return [policy, source](GraphT const& g, job_context& ctx)
-             -> std::shared_ptr<void const> {
-    auto r = algorithms::bfs(policy, g, source);
-    if (ctx.should_stop())
-      return nullptr;
-    return std::make_shared<algorithms::bfs_result<V> const>(std::move(r));
-  };
+  return detail::cold_job<GraphT>([policy, source](GraphT const& g) {
+    return algorithms::bfs(policy, g, source);
+  });
 }
 
 template <typename GraphT, typename P>
 typename analytics_engine<GraphT>::warm_job_fn bfs_warm_job(
     P policy, typename GraphT::vertex_type source) {
-  using V = typename GraphT::vertex_type;
-  using delta_t = typename analytics_engine<GraphT>::delta_type;
-  return [policy, source](GraphT const& g,
-                          std::shared_ptr<void const> const& prev_erased,
-                          delta_t const& delta, job_context& ctx)
-             -> std::shared_ptr<void const> {
-    auto const* prev =
-        static_cast<algorithms::bfs_result<V> const*>(prev_erased.get());
-    algorithms::incremental_outcome out;
-    auto r =
-        algorithms::bfs_incremental(policy, g, source, *prev, delta, &out);
-    if (ctx.should_stop())
-      return nullptr;
-    detail::report_outcome(ctx, out);
-    return std::make_shared<algorithms::bfs_result<V> const>(std::move(r));
-  };
+  using R = algorithms::bfs_result<typename GraphT::vertex_type>;
+  return detail::warm_job<GraphT, R>(
+      [policy, source](GraphT const& g, R const& prev, auto const& delta,
+                       algorithms::incremental_outcome* out) {
+        return algorithms::bfs_incremental(policy, g, source, prev, delta,
+                                           out);
+      });
 }
 
 // --- Connected components --------------------------------------------------
 
 template <typename GraphT, typename P>
 typename analytics_engine<GraphT>::typed_job_fn cc_cold_job(P policy) {
-  using V = typename GraphT::vertex_type;
-  return [policy](GraphT const& g, job_context& ctx)
-             -> std::shared_ptr<void const> {
-    auto r = algorithms::connected_components(policy, g);
-    if (ctx.should_stop())
-      return nullptr;
-    return std::make_shared<algorithms::cc_result<V> const>(std::move(r));
-  };
+  return detail::cold_job<GraphT>([policy](GraphT const& g) {
+    return algorithms::connected_components(policy, g);
+  });
 }
 
 template <typename GraphT, typename P>
 typename analytics_engine<GraphT>::warm_job_fn cc_warm_job(P policy) {
-  using V = typename GraphT::vertex_type;
-  using delta_t = typename analytics_engine<GraphT>::delta_type;
-  return [policy](GraphT const& g,
-                  std::shared_ptr<void const> const& prev_erased,
-                  delta_t const& delta, job_context& ctx)
-             -> std::shared_ptr<void const> {
-    auto const* prev =
-        static_cast<algorithms::cc_result<V> const*>(prev_erased.get());
-    algorithms::incremental_outcome out;
-    auto r = algorithms::connected_components_incremental(policy, g, *prev,
-                                                          delta, &out);
-    if (ctx.should_stop())
-      return nullptr;
-    detail::report_outcome(ctx, out);
-    return std::make_shared<algorithms::cc_result<V> const>(std::move(r));
-  };
+  using R = algorithms::cc_result<typename GraphT::vertex_type>;
+  return detail::warm_job<GraphT, R>(
+      [policy](GraphT const& g, R const& prev, auto const& delta,
+               algorithms::incremental_outcome* out) {
+        return algorithms::connected_components_incremental(policy, g, prev,
+                                                            delta, out);
+      });
 }
 
 }  // namespace essentials::engine

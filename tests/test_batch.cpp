@@ -268,15 +268,16 @@ TEST(BatchEngine, BurstFusesAndEveryMemberMatchesSoloOracle) {
 TEST(BatchEngine, FusedSsspMatchesUnfusedSubmission) {
   auto const g = random_graph(96, 512, 7);
 
-  // Unfused reference: same builders, batching disabled engine-wide.
-  engine_t solo({1, 64, 64, /*warm=*/true, /*batching=*/false});
+  // Unfused reference: same builders, each query submitted and waited for
+  // in turn, so it never has a partner to fuse with.
+  engine_t solo({1, 64, 64});
   solo.registry().publish("g", g);
   std::vector<std::shared_ptr<sssp_lanes const>> expected;
   for (vertex_t src = 0; src < 6; ++src) {
     auto j = solo.submit_batch(sssp_desc("g", src),
                                eng::sssp_batch_job<gr::graph_csr>(exec::par, src));
     EXPECT_EQ(j->wait(), eng::job_status::completed);
-    EXPECT_EQ(j->batch_size(), 0u);  // batching off: nothing ever fuses
+    EXPECT_EQ(j->batch_size(), 0u);  // enacted alone
     expected.push_back(j->result_as<sssp_lanes>());
   }
   EXPECT_EQ(solo.stats().batches, 0u);
@@ -341,6 +342,33 @@ TEST(BatchEngine, CacheHitMembersAreFilteredBeforeLaneAssignment) {
   EXPECT_EQ(s.batches, 1u);
   EXPECT_EQ(s.batched_jobs, 2u);
   EXPECT_EQ(s.edge_passes_saved, 1u);
+}
+
+// The dequeue-time cache probe is the same for a batchable job that
+// claims no partner: a lone member whose result lands in the cache while it
+// waits retires `cache_hit`, not `completed`, and never enacts.
+TEST(BatchEngine, LoneMemberCachedWhileQueuedRetiresCacheHit) {
+  engine_t engine({1, 64, 64});
+  engine.registry().publish("g", path_graph(24));
+  auto const epoch = engine.registry().lookup("g").epoch;
+
+  std::atomic<bool> release{false};
+  auto blocker = submit_blocker(engine, release);
+  auto j = engine.submit_batch(bfs_desc("g", 5),
+                               eng::bfs_batch_job<gr::graph_csr>(exec::par, 5));
+  auto precomputed = std::make_shared<bfs_lanes const>();
+  engine.cache().insert(eng::cache_key{"g", epoch, "bfs", "src=5"},
+                        precomputed);
+  release.store(true, std::memory_order_release);
+
+  EXPECT_EQ(j->wait(), eng::job_status::cache_hit);
+  EXPECT_EQ(j->result(), precomputed);  // served, not recomputed
+  EXPECT_EQ(j->batch_size(), 0u);
+  blocker->wait();
+  auto const s = engine.stats();
+  EXPECT_EQ(s.jobs_enacted, 1u);  // the blocker only
+  EXPECT_EQ(s.completed, 1u);
+  EXPECT_EQ(s.batches, 0u);
 }
 
 TEST(BatchEngine, EveryFusedMemberResultIsCachedUnderItsOwnKey) {
@@ -583,16 +611,15 @@ TEST(BatchEngine, IndependentModeNeverFuses) {
   auto blocker = submit_blocker(engine, release);
   std::vector<eng::job_ptr> jobs;
   for (vertex_t src = 0; src < 4; ++src)
-    jobs.push_back(engine.submit_batch(
+    jobs.push_back(engine.submit(
         bfs_desc("g", src),
-        eng::bfs_batch_job<gr::graph_csr>(exec::par, src,
-                                          exec::batch::independent)));
+        eng::bfs_batch_job<gr::graph_csr>(exec::par, src).cold));
   release.store(true, std::memory_order_release);
 
   for (vertex_t src = 0; src < 4; ++src) {
     auto const& j = jobs[static_cast<std::size_t>(src)];
     ASSERT_EQ(j->wait(), eng::job_status::completed);
-    EXPECT_EQ(j->batch_size(), 0u);  // opted out: always enacts alone
+    EXPECT_EQ(j->batch_size(), 0u);  // no fusion spec: always enacts alone
     auto const oracle =
         alg::multi_source_bfs(exec::seq, g, std::vector<vertex_t>{src});
     EXPECT_EQ(j->result_as<bfs_lanes>()->depths, oracle.depth[0]);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -769,24 +770,44 @@ TEST(DeltaEngine, BrokenChainCountsFallbackRunsCold) {
                         alg::sssp(exec::seq, *pin.graph, 0));
 }
 
-TEST(DeltaEngine, WarmStartsCanBeDisabled) {
-  engine_t engine({2, 16, 32, /*warm_starts=*/false});
+// A queued duplicate of a warm-capable query that the cache answers at
+// dequeue retires `cache_hit` with the first job's result object: the
+// pair counts one enactment.
+TEST(DeltaEngine, QueuedWarmDuplicateRetiresCacheHit) {
+  engine_t engine({/*num_runners=*/1, /*max_queued=*/16, /*cache=*/32});
   dyn_t dyn(16);
   for (vertex_t v = 0; v + 1 < 16; ++v)
     dyn.add_edge(v, v + 1, 1.0f);
   engine.registry().publish("g", dyn);
-  engine
-      .run(sssp_desc("g", 0), eng::sssp_cold_job<gr::graph_csr>(exec::seq, 0),
-           eng::sssp_warm_job<gr::graph_csr>(exec::seq, 0))
-      ->wait();
-  dyn.add_edge(0, 15, 1.0f);
-  engine.registry().publish("g", dyn);
-  auto j = engine.run(sssp_desc("g", 0),
-                      eng::sssp_cold_job<gr::graph_csr>(exec::seq, 0),
-                      eng::sssp_warm_job<gr::graph_csr>(exec::seq, 0));
-  ASSERT_EQ(j->status(), eng::job_status::completed);
-  EXPECT_FALSE(j->warm_started());
-  EXPECT_EQ(engine.stats().warm_start_hits, 0u);
+
+  std::atomic<bool> release{false};
+  eng::job_desc bd = sssp_desc("g", 0);
+  bd.algorithm = "blocker";
+  bd.use_cache = false;
+  auto blocker = engine.submit(
+      bd, [&release](gr::graph_csr const&,
+                     eng::job_context&) -> std::shared_ptr<void const> {
+        while (!release.load(std::memory_order_acquire))
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return nullptr;
+      });
+  auto first = engine.submit(sssp_desc("g", 0),
+                             eng::sssp_cold_job<gr::graph_csr>(exec::seq, 0),
+                             eng::sssp_warm_job<gr::graph_csr>(exec::seq, 0));
+  auto second = engine.submit(sssp_desc("g", 0),
+                              eng::sssp_cold_job<gr::graph_csr>(exec::seq, 0),
+                              eng::sssp_warm_job<gr::graph_csr>(exec::seq, 0));
+  release.store(true, std::memory_order_release);
+
+  ASSERT_EQ(first->wait(), eng::job_status::completed);
+  ASSERT_EQ(second->wait(), eng::job_status::cache_hit);
+  EXPECT_EQ(second->result(), first->result());
+  EXPECT_FALSE(second->warm_started());
+  blocker->wait();
+  auto const s = engine.stats();
+  EXPECT_EQ(s.jobs_enacted, 2u);  // the blocker and the first query
+  EXPECT_EQ(s.completed, 2u);
+  EXPECT_EQ(s.cache_hits, 1u);
 }
 
 TEST(DeltaEngine, BfsAndCcWarmJobsAgreeWithOracles) {

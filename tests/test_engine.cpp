@@ -549,6 +549,41 @@ TEST(Engine, RepeatedQueryHitsCacheBitIdentical) {
   EXPECT_EQ(engine.stats().jobs_enacted, 2u);
 }
 
+// A queued duplicate that the cache answers at dequeue retires `cache_hit`
+// with the first job's result object, and never enacts: the pair counts
+// one enactment and one completion.
+TEST(Engine, QueuedDuplicateRetiresCacheHitWithoutEnacting) {
+  engine_t engine({/*num_runners=*/1, /*max_queued=*/16, /*cache=*/32});
+  engine.registry().publish("path", path_graph(64));
+
+  std::atomic<bool> release{false};
+  auto bd = sssp_desc("path", 0);
+  bd.algorithm = "blocker";
+  bd.use_cache = false;
+  auto blocker = engine.submit(
+      bd, [&release](gr::graph_csr const&,
+                     eng::job_context&) -> std::shared_ptr<void const> {
+        while (!release.load(std::memory_order_acquire))
+          std::this_thread::sleep_for(1ms);
+        return nullptr;
+      });
+  auto first = engine.submit(sssp_desc("path", 0), sssp_job(0));
+  auto second = engine.submit(sssp_desc("path", 0), sssp_job(0));
+  release.store(true, std::memory_order_release);
+
+  ASSERT_EQ(first->wait(), eng::job_status::completed);
+  ASSERT_EQ(second->wait(), eng::job_status::cache_hit);
+  EXPECT_EQ(second->result(), first->result());
+  EXPECT_EQ(second->graph_epoch(), 1u);
+  blocker->wait();
+  auto const s = engine.stats();
+  EXPECT_EQ(s.jobs_enacted, 2u);  // the blocker and the first query
+  EXPECT_EQ(s.completed, 2u);
+  EXPECT_EQ(s.cache_hits, 1u);
+  EXPECT_EQ(s.submitted, 3u);
+  EXPECT_EQ(s.retired(), 2u);
+}
+
 // Acceptance (c): publishing a new epoch invalidates that graph's cache
 // entries only; in-flight jobs pinned to the old epoch finish correctly.
 TEST(Engine, EpochPublishInvalidatesOnlyThatGraph) {
