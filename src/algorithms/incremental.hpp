@@ -59,7 +59,6 @@
 #include "core/execution.hpp"
 #include "core/types.hpp"
 #include "graph/delta.hpp"
-#include "parallel/atomics.hpp"
 
 namespace essentials::algorithms {
 
@@ -110,9 +109,10 @@ inline void note_outcome(incremental_outcome* out, bool warm,
 /// Warm BFS's program: (depth, parent) packed in one word, depth in the
 /// high half, `unset` (all ones) for unreached, ordered by the depth half
 /// alone.  A source at depth d offers (d + 1, itself); an unset source
-/// offers nothing.  Pushed, a CAS on the packed word; pulled, `relax_pull`
-/// folds the offers.  Either way depth and parent change together, so a
-/// parent's converged depth is always exactly one less than its child's.
+/// offers nothing.  `relax_push` lowers a destination with a CAS on the
+/// packed word; `relax_pull` folds the offers.  Either way depth and parent
+/// change together, so a parent's converged depth is always exactly one
+/// less than its child's.
 struct depth_parent_program {
   static constexpr std::uint32_t unset = 0xffffffffu;
   std::uint64_t* value;
@@ -135,21 +135,6 @@ struct depth_parent_program {
   }
   static bool improves(std::uint64_t const a, std::uint64_t const b) {
     return depth(a) < depth(b);
-  }
-
-  bool operator()(auto const src, auto const dst, auto const /*edge*/,
-                  auto const weight) const {
-    std::uint64_t* const target = &value[static_cast<std::size_t>(dst)];
-    std::uint64_t const offered = offer(
-        src, atomic::load(&value[static_cast<std::size_t>(src)]), weight);
-    std::uint64_t cur = atomic::load(target);
-    while (improves(offered, cur)) {
-      std::uint64_t const observed = atomic::cas(target, cur, offered);
-      if (observed == cur)
-        return true;  // we improved (depth, parent) atomically
-      cur = observed;
-    }
-    return false;
   }
 };
 

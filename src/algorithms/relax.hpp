@@ -1,7 +1,8 @@
 #pragma once
 
 /// \file algorithms/relax.hpp
-/// \brief The min-plus vertex program and the three loops that enact it.
+/// \brief The min-plus vertex program, its two supersteps, and the three
+/// loops that enact it.
 ///
 /// SSSP, label-propagation CC and BFS hop counts are one vertex program:
 ///
@@ -9,28 +10,34 @@
 ///
 /// where the cost is the edge weight (SSSP), 0 (CC labels) or 1 (BFS
 /// hops).  This header holds the program once, as `min_plus_condition`,
-/// its pull superstep `relax_pull`, and one loop per timing/communication
-/// model of PAPER.md Table I:
-///  - `relax_bsp` — bulk-synchronous from a seed set: advance, uniquify,
+/// its two supersteps — `relax_push` (GraphLab's scatter) and `relax_pull`
+/// (its gather) — and one loop per timing/communication model of PAPER.md
+/// Table I:
+///  - `relax_bsp` — bulk-synchronous from a seed set: push, uniquify,
 ///    repeat until the frontier is empty; on graphs with a CSC view, dense
 ///    supersteps pull instead (`enactor::direction_loop`).  Cold runs seed
 ///    the source (every vertex for CC); warm runs
 ///    (algorithms/incremental.hpp) seed the delta's endpoints over the
 ///    previous epoch's values.
 ///  - `relax_async` — an asynchronous queue with no supersteps; workers
-///    relax popped vertices and queue what they improve until quiescence.
+///    push from popped vertices and queue what they improve until
+///    quiescence.
 ///  - `relax_message_passing` — BSP across mpsim ranks: (vertex, value)
 ///    words travel through `frontier::distributed_frontier`, each rank
-///    expanding its owned vertices sequentially or on a private pool.
+///    pushing from its owned vertices sequentially or on a private pool.
 ///
 /// Every SSSP, CC and BFS-depth variant in sssp.hpp, bfs.hpp,
 /// connected_components.hpp and incremental.hpp seeds one of these loops;
 /// the variants differ only in the seed, the cost and the value lattice.
+/// Delta-stepping (sssp_delta.hpp) pushes a weight-banded program through
+/// the same step.
 ///
-/// The two directions write differently:
-///  - push (`min_plus_condition` called as an edge condition): many lanes
-///    may lower one destination, so the write is an atomic min (a CAS loop,
-///    `relax`);
+/// A program is a value array, `offer(src, x, w)` (what a source holding x
+/// offers across an edge) and `improves(a, b)`; both directions apply it,
+/// and they write differently:
+///  - push (`relax_push`): many lanes may lower one destination, so each
+///    lowers it with a CAS loop (`atomic::min` under `improves`), taken only
+///    when a relaxed probe shows the offer would win;
 ///  - pull (`relax_pull`): each destination folds every in-edge on the one
 ///    lane that owns it and stores the result once; min is idempotent and
 ///    a source outside the frontier cannot improve its out-neighbours, so
@@ -63,15 +70,8 @@
 namespace essentials::algorithms {
 
 // ---------------------------------------------------------------------------
-// The relaxation
+// The program
 // ---------------------------------------------------------------------------
-
-/// Atomic relaxation: value[v] = min(value[v], candidate); true iff this
-/// call lowered it (Listing 4's `new_d < atomic::min(...)` contract).
-template <typename T>
-inline bool relax(T* value, std::size_t v, T candidate) {
-  return candidate < atomic::min(&value[v], candidate);
-}
 
 /// Single-owner relaxation (no atomics).  True iff improved.
 template <typename T>
@@ -102,25 +102,14 @@ struct constant_cost {
   }
 };
 
-/// The min-plus program over `value`, in both directions.  Called as an
-/// edge condition it is the push side, Listing 4's lambda: snapshot
-/// value[src] with an atomic load (another lane may be lowering it; a
-/// stale value only costs a re-relaxation), atomic-min value[dst] with the
-/// candidate, and keep dst iff this call lowered it.  `offer` and
-/// `improves` are what the pull step (`relax_pull`) folds a destination's
-/// in-edges with.  Costs are stateless so the program carries nothing but
-/// the value array.
+/// The min-plus program over `value`: what a source offers across an edge
+/// and the order in which an offer improves a value, which `relax_push`
+/// and `relax_pull` apply.  Costs are stateless so the program carries
+/// nothing but the value array.
 template <typename Cost, typename T>
 struct min_plus_program {
   static_assert(std::is_empty_v<Cost>, "cost functors must be stateless");
   T* value;
-
-  bool operator()(auto const src, auto const dst, auto const /*edge*/,
-                  auto const weight) const {
-    T const candidate = static_cast<T>(
-        atomic::load(&value[static_cast<std::size_t>(src)]) + Cost{}(weight));
-    return relax(value, static_cast<std::size_t>(dst), candidate);
-  }
 
   /// What a source holding `x` offers across an edge: x + cost.  An
   /// unreached source must improve nothing.  An integer one offers
@@ -144,9 +133,10 @@ inline min_plus_program<Cost, T> min_plus_condition(T* value) {
   return {value};
 }
 
-/// A program `relax_pull` can fold: a value array, the value a source
-/// offers across an in-edge, and the order in which an offer improves a
-/// value.  The value of an unreached source must improve nothing.
+/// A program `relax_push` and `relax_pull` apply: a value array, the value
+/// a source offers across an edge, and the order in which an offer
+/// improves a value.  The value of an unreached source must improve
+/// nothing.
 template <typename Prog, typename G>
 concept pull_program =
     requires(Prog const& p, typename G::vertex_type v,
@@ -157,15 +147,115 @@ concept pull_program =
       { Prog::improves(*p.value, *p.value) } -> std::same_as<bool>;
     };
 
-/// Weight-banded condition for delta-stepping: only edges with weight in
-/// [lo, hi) relax (light waves pass [0, Δ), the heavy pass [Δ, ∞)).
-template <typename W>
-inline auto make_banded_relax_condition(W* dist, W lo, W hi) {
-  return [relax_edge = min_plus_condition(dist), lo, hi](
-             auto const src, auto const dst, auto const edge,
-             W const weight) {
-    return weight >= lo && weight < hi && relax_edge(src, dst, edge, weight);
+// ---------------------------------------------------------------------------
+// Push superstep
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+/// A graph whose out-edges are `graph_t`'s CSR arrays.  The compressed and
+/// the partitioned graph decode or route their edges, so a push walks them
+/// through their accessors instead.
+template <typename G>
+concept flat_csr = requires(G const& g) {
+  g.csr().row_offsets.data();
+  g.csr().column_indices.data();
+  g.csr().values.data();
+};
+
+/// The push side of one vertex: snapshot v's value once, offer it across
+/// every out-edge, and `emit` each destination this call lowered.  The
+/// snapshot is a relaxed load: another lane may lower v meanwhile, but that
+/// lane also queues v, so a stale snapshot costs a re-relaxation, never a
+/// wrong value.  A destination is probed with a relaxed load and takes the
+/// CAS loop only when the offer improves it.  A program that ignores edges
+/// by weight (`admits(w)` false: delta-stepping's band) skips them before
+/// reading their destination.  Returns v's out-degree (the edges
+/// inspected).
+template <typename G, typename Prog, typename Emit>
+std::size_t push_vertex(G const& g, Prog const& program,
+                        typename G::vertex_type const v, Emit&& emit) {
+  using T = std::remove_cvref_t<decltype(*program.value)>;
+  // Base pointers held in locals, as in relax_pull: GCC keeps no memory
+  // read in a register across the per-edge atomic, so through the graph's
+  // accessors every out-edge would reload them.
+  T* const value = program.value;
+  T const x = atomic::load_relaxed(&value[static_cast<std::size_t>(v)]);
+  auto const scatter = [&](auto const dst, auto const weight) {
+    if constexpr (requires { program.admits(weight); }) {
+      if (!program.admits(weight))
+        return;
+    }
+    T const offered = program.offer(v, x, weight);
+    T const before =
+        atomic::min(&value[static_cast<std::size_t>(dst)], offered,
+                    [](T const a, T const b) { return Prog::improves(a, b); });
+    if (Prog::improves(offered, before))
+      emit(dst);
   };
+  if constexpr (flat_csr<G>) {
+    auto const& csr = g.csr();
+    auto const* const dests = csr.column_indices.data();
+    auto const* const weights = csr.values.data();
+    auto const first = csr.row_offsets[static_cast<std::size_t>(v)];
+    auto const last = csr.row_offsets[static_cast<std::size_t>(v) + 1];
+    for (auto e = first; e < last; ++e)
+      scatter(dests[e], weights[e]);
+    return static_cast<std::size_t>(last - first);
+  } else {
+    auto const edges = g.get_edges(v);
+    for (auto const e : edges)
+      scatter(g.get_dest_vertex(e), g.get_edge_weight(e));
+    return static_cast<std::size_t>(edges.size());
+  }
+}
+
+}  // namespace detail
+
+/// One push superstep of `program` (GraphLab's scatter): every vertex of
+/// `in` offers its value across its out-edges (`detail::push_vertex`), and
+/// the output holds each destination once per CAS that lowered it, so it
+/// may repeat a vertex; `relax_bsp` uniquifies it.  Under `par` the output
+/// is generated per `policy.frontier` and deduplicated when `policy.dedup`
+/// is set, as `operators::advance_push` does.
+///
+/// Telemetry records the op as `advance_push.seq` / `advance_push.par`,
+/// the names and counts of the generic push advance: `edges_inspected`
+/// counts every out-edge of the input, `edges_relaxed` the lowering CASes.
+template <typename P, typename G, typename Prog>
+  requires execution::synchronous_policy<P> && (G::has_csr) &&
+           pull_program<Prog, G>
+frontier::sparse_frontier<typename G::vertex_type> relax_push(
+    P policy, G const& g,
+    frontier::sparse_frontier<typename G::vertex_type> const& in,
+    Prog const& program) {
+  using V = typename G::vertex_type;
+  constexpr bool parallel = std::decay_t<P>::is_parallel;
+  auto const probe = telemetry::make_probe(
+      parallel ? "advance_push.par" : "advance_push.seq", policy, in.size());
+  frontier::sparse_frontier<V> out;
+  V const* const active = in.active().data();
+  auto const chunk = [&](std::size_t lo, std::size_t hi, auto&& emit) {
+    std::size_t inspected = 0, relaxed = 0;
+    for (std::size_t i = lo; i < hi; ++i)
+      inspected += detail::push_vertex(g, program, active[i], [&](V const u) {
+        ++relaxed;
+        emit(u);
+      });
+    probe.add_edges(inspected, relaxed);
+  };
+  if constexpr (parallel) {
+    auto const stats = frontier::generate(
+        policy.frontier, policy.pool(), in.size(), policy.edge_grain, out,
+        chunk,
+        operators::detail::dedup_filter(
+            policy, static_cast<std::size_t>(g.get_num_vertices())));
+    operators::detail::flush_generate_stats(probe, policy.frontier, stats);
+  } else {
+    chunk(0, in.size(), [&out](V const u) { out.active().push_back(u); });
+  }
+  probe.set_items_out(out.size());
+  return out;
 }
 
 namespace detail {
@@ -179,14 +269,14 @@ void uniquify_vertices(P policy, frontier::sparse_frontier<V>& f,
     operators::uniquify(policy, f);
 }
 
-/// One superstep: expand with `cond`, then uniquify, so a vertex improved
-/// many times costs one future expansion.
-template <typename P, typename G, typename Cond>
+/// One superstep: push `program`, then uniquify, so a vertex improved many
+/// times costs one future expansion.
+template <typename P, typename G, typename Prog>
 frontier::sparse_frontier<typename G::vertex_type> relax_step(
     P policy, G const& g,
     frontier::sparse_frontier<typename G::vertex_type> const& in,
-    Cond const& cond) {
-  auto out = operators::advance_push(policy, g, in, cond);
+    Prog const& program) {
+  auto out = relax_push(policy, g, in, program);
   uniquify_vertices(policy, out,
                     static_cast<std::size_t>(g.get_num_vertices()));
   return out;
@@ -284,13 +374,13 @@ frontier::dense_frontier<typename G::vertex_type> relax_pull(
 
 /// Bulk-synchronous relaxation from `seeds` (their values already set)
 /// until no relaxation improves anything.  `program` is
-/// `min_plus_condition` or any program with its contract: as a condition,
-/// keep dst iff this call improved it; as a `pull_program`, fold.  On a
-/// graph with a CSC view the loop is `enactor::direction_loop`: a sparse
-/// superstep is a push `relax_step`, a dense one is `relax_pull` over every
-/// in-edge, and Beamer's switch picks the direction with every in-edge as
-/// the pull side's work.  Graphs with only a CSR view (`graph_csr`, the
-/// compressed and the partitioned graph) push every superstep.
+/// `min_plus_condition` or any `pull_program`.  On a graph with a CSC view
+/// the loop is `enactor::direction_loop`: a sparse superstep is
+/// `relax_push` then uniquify (`relax_step`), a dense one is `relax_pull`
+/// over every in-edge, and Beamer's switch picks the direction with every
+/// in-edge as the pull side's work.  Graphs with only a CSR view
+/// (`graph_csr`, the compressed and the partitioned graph) push every
+/// superstep.
 template <typename P, typename G, typename Prog>
   requires execution::synchronous_policy<P>
 enactor::enact_stats relax_bsp(P policy, G const& g,
@@ -320,22 +410,19 @@ enactor::enact_stats relax_bsp(P policy, G const& g,
 // ---------------------------------------------------------------------------
 
 /// Asynchronous relaxation from `source` (value[source] already set): the
-/// frontier is a concurrent queue; `workers` consumers relax the out-edges
-/// of popped vertices with `min_plus_condition` and queue every neighbor
-/// they improved.  No supersteps, no barriers; returns at quiescence.
+/// frontier is a concurrent queue; `workers` consumers push the min-plus
+/// program from each popped vertex with `relax_push`'s per-vertex body and
+/// queue every neighbor they lowered.  No supersteps, no barriers; returns
+/// at quiescence.
 template <typename Cost = weight_cost, typename G, typename T>
 void relax_async(G const& g, typename G::vertex_type source, T* value,
                  std::size_t workers) {
   using V = typename G::vertex_type;
-  auto const relax_edge = min_plus_condition<Cost>(value);
+  auto const program = min_plus_condition<Cost>(value);
   frontier::async_queue_frontier<V> f;
   f.add_vertex(source);
-  enactor::async_loop(f, workers, [&g, &f, &relax_edge](V const v) {
-    for (auto const e : g.get_edges(v)) {
-      V const n = g.get_dest_vertex(e);
-      if (relax_edge(v, n, e, g.get_edge_weight(e)))
-        f.add_vertex(n);
-    }
+  enactor::async_loop(f, workers, [&g, &f, &program](V const v) {
+    detail::push_vertex(g, program, v, [&f](V const n) { f.add_vertex(n); });
   });
 }
 
@@ -427,7 +514,7 @@ std::size_t relax_message_passing(
   auto const enact = [&](auto policy, mpsim::communicator& comm, int rank) {
     std::vector<T> local(n, infinity_v<T>);
     T* const val = local.data();
-    auto const relax_edge = min_plus_condition<Cost>(val);
+    auto const program = min_plus_condition<Cost>(val);
     frontier::distributed_frontier<std::uint64_t> words(
         comm, rank,
         [&owner](std::uint64_t w) { return owner(word::vertex(w)); });
@@ -447,7 +534,7 @@ std::size_t relax_message_passing(
         }
       }
       detail::uniquify_vertices(policy, active, n);
-      auto const improved = detail::relax_step(policy, g, active, relax_edge);
+      auto const improved = detail::relax_step(policy, g, active, program);
       for (V const u : improved.active())
         words.add_vertex(word::pack(u, val[static_cast<std::size_t>(u)]));
       ++steps;

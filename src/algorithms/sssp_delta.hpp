@@ -11,8 +11,9 @@
 /// sweeps Δ.
 ///
 /// Expressed entirely with the framework's essential components: the bucket
-/// is a sparse frontier, light-edge waves are neighbors_expand calls inside
-/// a bsp_loop, and the outer bucket loop is another loop structure with the
+/// is a sparse frontier, light-edge waves and the heavy pass are push
+/// supersteps of a weight-banded min-plus program (`relax_push`, then
+/// uniquify), and the outer bucket loop is another loop structure with the
 /// "all buckets empty" convergence condition.
 
 #include <cmath>
@@ -23,12 +24,32 @@
 #include "algorithms/sssp.hpp"
 #include "core/execution.hpp"
 #include "core/frontier/frontier.hpp"
-#include "core/operators/advance.hpp"
 #include "core/operators/filter.hpp"
 #include "core/types.hpp"
 #include "parallel/atomics.hpp"
 
 namespace essentials::algorithms {
+
+namespace detail {
+
+/// Delta-stepping's program: min-plus over the edges whose weight lies in
+/// [lo, hi) (light waves [0, Δ), the heavy pass [Δ, ∞)).  Any other edge
+/// offers infinity, which improves nothing, and `admits` lets `relax_push`
+/// skip it before reading its destination: most of a light wave's edges
+/// are heavy.
+template <typename W>
+struct banded_program : min_plus_program<weight_cost, W> {
+  W lo, hi;
+
+  bool admits(W const weight) const { return weight >= lo && weight < hi; }
+  W offer(auto const src, W const x, W const weight) const {
+    return admits(weight)
+               ? min_plus_program<weight_cost, W>::offer(src, x, weight)
+               : infinity_v<W>;
+  }
+};
+
+}  // namespace detail
 
 /// Delta-stepping SSSP.  `delta == 0` picks the classic heuristic
 /// Δ = max_weight / average_degree (clamped to > 0).
@@ -98,16 +119,9 @@ sssp_result<typename G::weight_type> sssp_delta_stepping(
         settled.add_vertex(v);
 
       // Light band [0, Δ): heavy edges are handled after the bucket
-      // settles.  The shared banded condition also reads dist[src] with an
-      // atomic load — the plain read this pass carried before PR 8 raced
-      // the concurrent atomic::min on the same word.
-      auto next = operators::neighbors_expand(
-          policy, g, fresh,
-          make_banded_relax_condition(dist, W{0}, delta));
-      if constexpr (std::decay_t<P>::is_parallel)
-        operators::uniquify(policy, next, n);
-      else
-        operators::uniquify(execution::seq, next);
+      // settles.
+      auto const next = detail::relax_step(
+          policy, g, fresh, detail::banded_program<W>{{dist}, W{0}, delta});
 
       // Re-bucket the relaxed vertices; only same-bucket ones continue the
       // wave.
@@ -124,13 +138,10 @@ sssp_result<typename G::weight_type> sssp_delta_stepping(
     }
 
     // Heavy-edge pass over everything settled in this bucket.
-    if constexpr (std::decay_t<P>::is_parallel)
-      operators::uniquify(policy, settled, n);
-    else
-      operators::uniquify(execution::seq, settled);
-    auto heavy = operators::neighbors_expand(
+    detail::uniquify_vertices(policy, settled, n);
+    auto const heavy = detail::relax_step(
         policy, g, settled,
-        make_banded_relax_condition(dist, delta, infinity_v<W>));
+        detail::banded_program<W>{{dist}, delta, infinity_v<W>});
     for (V const v : heavy.active())
       ensure_bucket(bucket_of(dist[static_cast<std::size_t>(v)]))
           .add_vertex(v);

@@ -20,9 +20,12 @@
 ///    `advance_pull` walks in-edges via CSC, asking whether any *active*
 ///    predecessor satisfies the condition — for every vertex, or only for
 ///    the vertices outside a `visited` bitmap (BFS's bottom-up step).  The
-///    min-plus program pulls with its own step instead
-///    (`algorithms::relax_pull`): a fold over every in-edge, with no
-///    membership probe and no per-edge condition.
+///    min-plus program runs neither: it has its own step per direction in
+///    algorithms/relax.hpp.  `relax_push` snapshots each frontier vertex's
+///    value once and lowers its out-neighbours by CAS; `relax_pull` folds
+///    every in-edge, with no membership probe and no per-edge condition.
+///    `advance_push` stays for BFS and user conditions, and `relax_push`
+///    records its op under the same `advance_push.*` names and counts.
 ///  - representation: sparse -> sparse, sparse -> dense, dense -> dense.
 ///
 /// Sparse-output generation is itself a policy axis

@@ -23,7 +23,9 @@
 ///           run sequence (engine/scheduler.hpp) probes the cache again at
 ///           dequeue (a hit retires `cache_hit`), runs the body under
 ///           deadline/cancel conditions and inserts `completed` results
-///           keyed by the epoch pinned at submission.
+///           keyed by the epoch pinned at submission.  A request counts
+///           one cache hit or, when it enacts, one miss: the submit-time
+///           probe leaves its miss to the dequeue probe.
 ///
 ///   registry.publish(name, ...) — swaps the snapshot, bumps the epoch and
 ///   (via subscription) invalidates cache entries of that graph *only*.
@@ -256,13 +258,14 @@ class analytics_engine {
     cache_key key = cache_key_of(desc, pinned.epoch);
     bool const cacheable = desc.use_cache && cache_.capacity() != 0;
     if (cacheable) {
-      if (auto hit = cache_.lookup(key)) {
+      // A miss here is not counted: the scheduler probes again at dequeue,
+      // and that probe, which decides whether the job enacts, counts it.
+      if (auto hit = cache_.lookup(key, /*count_miss=*/false)) {
         job_ptr j(new job(0, std::move(desc)));
         j->epoch_ = pinned.epoch;
         job_scheduler::retire(j, job_status::cache_hit, std::move(hit), {});
         return j;
       }
-      // miss already counted by cache_.lookup
     }
 
     // Type-erase the fusion contract.  The key pins (graph name, epoch,

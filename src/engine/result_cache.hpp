@@ -142,12 +142,16 @@ class result_cache {
   result_cache(result_cache const&) = delete;
   result_cache& operator=(result_cache const&) = delete;
 
-  /// O(1) probe; promotes the entry to most-recently-used on hit.
-  std::shared_ptr<void const> lookup(cache_key const& key) {
+  /// O(1) probe; promotes the entry to most-recently-used on hit.  Counts
+  /// the hit, and the miss unless `count_miss` is false: a caller that
+  /// probes a request again before deciding to enact it leaves the miss to
+  /// that deciding probe, so `cache_misses` counts requests, not probes.
+  std::shared_ptr<void const> lookup(cache_key const& key,
+                                     bool count_miss = true) {
     std::lock_guard<std::mutex> guard(mutex_);
     auto const it = map_.find(key);
     if (it == map_.end()) {
-      if (stats_)
+      if (stats_ && count_miss)
         stats_->on_cache_miss();
       return nullptr;
     }

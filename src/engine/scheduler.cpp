@@ -184,6 +184,8 @@ void job_scheduler::run(std::vector<job_ptr> const& claimed) {
       continue;
     }
     if (j->cache_) {
+      // The probe that decides enactment counts the request's one miss;
+      // the engine's submit-time probe counted only a hit.
       if (auto hit = j->cache_->lookup(cache_key_of(j->desc_, j->epoch_))) {
         retire(j, job_status::cache_hit, std::move(hit), {});
         continue;

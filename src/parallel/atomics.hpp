@@ -14,20 +14,23 @@
 
 #include <atomic>
 #include <concepts>
+#include <functional>
 #include <type_traits>
 
 namespace essentials::atomic {
 
-/// Atomically stores min(*address, value) and returns the value observed at
-/// *address immediately before this call's update took effect.  The returned
-/// "old" value implements Listing 4's contract: `new_d < atomic::min(...)`
-/// is true iff this thread's relaxation improved the distance.
-template <typename T>
-  requires std::totally_ordered<T>
-T min(T* address, T value) {
+/// Atomically stores min(*address, value) under the strict order `less`
+/// and returns the value observed at *address immediately before this
+/// call's update took effect.  The returned "old" value implements Listing
+/// 4's contract: `new_d < atomic::min(...)` is true iff this thread's
+/// relaxation improved the distance.  The first read is a relaxed probe,
+/// so a value that cannot win costs no read-modify-write.
+template <typename T, typename Less = std::less<>>
+  requires std::strict_weak_order<Less, T, T>
+T min(T* address, T value, Less less = {}) {
   std::atomic_ref<T> ref(*address);
   T observed = ref.load(std::memory_order_relaxed);
-  while (value < observed) {
+  while (less(value, observed)) {
     if (ref.compare_exchange_weak(observed, value, std::memory_order_acq_rel,
                                   std::memory_order_relaxed))
       return observed;  // we won; `observed` is the pre-update value
@@ -92,7 +95,7 @@ T load(T const* address) {
 
 /// Relaxed load through a plain pointer: a value other lanes may be
 /// lowering, read when nothing else is published with it (a pull fold's
-/// sources).
+/// sources, a push step's source snapshot).
 template <typename T>
 T load_relaxed(T const* address) {
   return std::atomic_ref<T const>(*address).load(std::memory_order_relaxed);

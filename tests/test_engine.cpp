@@ -538,15 +538,40 @@ TEST(Engine, RepeatedQueryHitsCacheBitIdentical) {
   auto const s = engine.stats();
   EXPECT_EQ(s.jobs_enacted, 1u);  // the second query never enacted
   EXPECT_EQ(s.cache_hits, 1u);
-  // Two counted misses for one enactment: the submit-time probe and the
-  // dequeue-time duplicate-suppression re-check both missed for j1.
-  EXPECT_EQ(s.cache_misses, 2u);
+  // One miss for one enactment: j1's submit-time probe leaves its miss to
+  // the dequeue-time probe, which decides that j1 enacts.
+  EXPECT_EQ(s.cache_misses, 1u);
   EXPECT_EQ(s.completed, 1u);
 
   // Different params = different cache line.
   auto j3 = engine.run(sssp_desc("path", 1), sssp_job(1));
   EXPECT_EQ(j3->status(), eng::job_status::completed);
   EXPECT_EQ(engine.stats().jobs_enacted, 2u);
+}
+
+// The cache counters count requests, not probes: N distinct queries that
+// each enact count N misses, and repeating them counts N hits and no
+// further miss, so hit_ratio() is the share of requests the cache served.
+TEST(Engine, DistinctEnactedQueriesCountOneMissEach) {
+  engine_t engine({/*num_runners=*/2, /*max_queued=*/16, /*cache=*/32});
+  engine.registry().publish("path", path_graph(64));
+  constexpr vertex_t kDistinct = 5;
+  for (vertex_t src = 0; src < kDistinct; ++src)
+    ASSERT_EQ(engine.run(sssp_desc("path", src), sssp_job(src))->status(),
+              eng::job_status::completed);
+  auto s = engine.stats();
+  EXPECT_EQ(s.jobs_enacted, static_cast<std::uint64_t>(kDistinct));
+  EXPECT_EQ(s.cache_misses, static_cast<std::uint64_t>(kDistinct));
+  EXPECT_EQ(s.cache_hits, 0u);
+
+  for (vertex_t src = 0; src < kDistinct; ++src)
+    ASSERT_EQ(engine.run(sssp_desc("path", src), sssp_job(src))->status(),
+              eng::job_status::cache_hit);
+  s = engine.stats();
+  EXPECT_EQ(s.jobs_enacted, static_cast<std::uint64_t>(kDistinct));
+  EXPECT_EQ(s.cache_misses, static_cast<std::uint64_t>(kDistinct));
+  EXPECT_EQ(s.cache_hits, static_cast<std::uint64_t>(kDistinct));
+  EXPECT_DOUBLE_EQ(s.hit_ratio(), 0.5);
 }
 
 // A queued duplicate that the cache answers at dequeue retires `cache_hit`
@@ -580,6 +605,7 @@ TEST(Engine, QueuedDuplicateRetiresCacheHitWithoutEnacting) {
   EXPECT_EQ(s.jobs_enacted, 2u);  // the blocker and the first query
   EXPECT_EQ(s.completed, 2u);
   EXPECT_EQ(s.cache_hits, 1u);
+  EXPECT_EQ(s.cache_misses, 1u);  // the first query; the blocker is uncached
   EXPECT_EQ(s.submitted, 3u);
   EXPECT_EQ(s.retired(), 2u);
 }

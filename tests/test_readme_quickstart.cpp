@@ -18,8 +18,8 @@ TEST(ReadmeQuickstart, CompilesAndRunsAsDocumented) {
   auto g = graph::from_coo<graph::graph_csr>(std::move(coo));
 
   // Parallel single-source shortest paths, exactly the paper's shape:
-  // frontier seed -> neighbors_expand with a relaxation lambda ->
-  // loop until the frontier drains.
+  // frontier seed -> push the min-plus relaxation -> loop until the
+  // frontier drains.
   auto result = algorithms::sssp(execution::par, g, /*source=*/0);
 
   ASSERT_EQ(result.distances.size(), 5u);

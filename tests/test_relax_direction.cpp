@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "core/operators/advance.hpp"
 #include "core/telemetry.hpp"
 #include "generators/generators.hpp"
+#include "graph/compressed.hpp"
 #include "graph/graph.hpp"
 
 namespace alg = essentials::algorithms;
@@ -289,4 +292,229 @@ TEST(RelaxDirectionPullStep, FoldsEveryInEdgeAndActivatesWhatFell) {
   };
   check(ex::seq, "seq");
   check(ex::par, "par");
+}
+
+// One push superstep (`relax_push`) on a hand-built directed graph, for a
+// float min-plus program, an integer cost-0 program (CC labels) and the
+// packed (depth, parent) word of warm BFS, on the flat CSR and on the
+// block-coded graph (which keeps its accessors), under seq and par.
+namespace {
+
+using word_program = alg::detail::depth_parent_program;
+
+/// The step's program over `value`, for each value type under test.
+template <typename T>
+auto push_program(T* value) {
+  if constexpr (std::is_same_v<T, weight_t>)
+    return alg::min_plus_condition(value);
+  else if constexpr (std::is_same_v<T, std::uint64_t>)
+    return word_program{value};
+  else
+    return alg::min_plus_condition<alg::constant_cost<T{0}>>(value);
+}
+
+/// The edges_inspected / edges_relaxed / items_out of the one push op a
+/// recorded run holds.
+struct push_counts {
+  std::size_t ops = 0, inspected = 0, relaxed = 0, items_out = 0;
+};
+push_counts push_ops(tel::trace const& t) {
+  push_counts c;
+  for (auto const& s : t.supersteps)
+    for (auto const& op : s.ops)
+      if (op.name == "advance_push.seq" || op.name == "advance_push.par") {
+        ++c.ops;
+        c.inspected += op.edges_inspected;
+        c.relaxed += op.edges_relaxed;
+        c.items_out += op.items_out;
+      }
+  return c;
+}
+
+/// Runs one relax_push of `program` from `members` under a recording scope.
+template <typename P, typename G, typename Prog>
+std::pair<std::vector<vertex_t>, push_counts> push_once(
+    P policy, G const& graph, std::vector<vertex_t> const& members,
+    Prog const& program) {
+  fr::sparse_frontier<vertex_t> in(members);
+  tel::trace t;
+  fr::sparse_frontier<vertex_t> out;
+  {
+    tel::scoped_recording rec(t, "relax_push");
+    out = alg::relax_push(policy, graph, in, program);
+  }
+  return {out.active(), push_ops(t)};
+}
+
+//   0 -> 1, 3, 4     (0 is in the frontier, reached)
+//   1 -> 7           (1 is not in the frontier: never inspected)
+//   2 -> 1, 6        (2 is in the frontier, reached)
+//   5 -> 0, 7        (5 is in the frontier, unreached: offers nothing)
+// Each improvable destination (1, 3, 6) has one improving in-edge from
+// the frontier and no frontier vertex falls, so the outcome does not
+// depend on the order lanes push in.
+g::graph_csr step_graph() {
+  g::coo_t<> coo;
+  coo.num_rows = coo.num_cols = 8;
+  coo.push_back(0, 1, 1.0f);
+  coo.push_back(0, 3, 2.0f);
+  coo.push_back(0, 4, 4.0f);
+  coo.push_back(1, 7, 1.0f);
+  coo.push_back(2, 1, 10.0f);
+  coo.push_back(2, 6, 0.5f);
+  coo.push_back(5, 0, 1.0f);
+  coo.push_back(5, 7, 1.0f);
+  return g::from_coo<g::graph_csr>(std::move(coo));
+}
+std::vector<vertex_t> const step_frontier{0, 2, 5};
+std::size_t const step_out_degrees = 3 + 2 + 2;
+std::vector<vertex_t> const step_lowered{1, 3, 6};
+
+/// Start and expected values per program on step_graph().
+template <typename T>
+std::pair<std::vector<T>, std::vector<T>> step_values() {
+  if constexpr (std::is_same_v<T, weight_t>) {
+    T const inf = essentials::infinity_v<T>;
+    return {{0, 5, 1, inf, 3, inf, inf, inf},
+            {0, 1, 1, 2, 3, inf, 1.5f, inf}};
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    auto const w = [](std::uint32_t d, std::uint32_t p) {
+      return word_program::pack(d, p);
+    };
+    T const unset = w(word_program::unset, word_program::unset);
+    // 2 offers depth 2 to 1, which is at depth 2 already: no improvement.
+    return {{w(0, 0), w(2, 9), w(1, 0), unset, w(1, 0), unset, unset, unset},
+            {w(0, 0), w(1, 0), w(1, 0), w(1, 0), w(1, 0), unset, w(2, 2),
+             unset}};
+  } else {
+    T const inf = essentials::infinity_v<T>;
+    // Labels: 2 offers its label 6 to 1, which holds 5: no improvement.
+    return {{0, 5, 6, inf, 0, inf, inf, inf}, {0, 0, 6, 0, 0, inf, 6, inf}};
+  }
+}
+
+template <typename T>
+class RelaxPushStep : public ::testing::Test {};
+using push_value_types = ::testing::Types<weight_t, vertex_t, std::uint64_t>;
+TYPED_TEST_SUITE(RelaxPushStep, push_value_types);
+
+}  // namespace
+
+TYPED_TEST(RelaxPushStep, LowersAndEmitsExactlyTheImprovableDestinations) {
+  using T = TypeParam;
+  auto const csr = step_graph();
+  g::compressed_graph<> const blocks(csr.csr());
+  auto const [start, lowered] = step_values<T>();
+  auto const check = [&](auto policy, auto const& graph, char const* label) {
+    std::vector<T> value = start;
+    auto [out, counts] =
+        push_once(policy, graph, step_frontier, push_program(value.data()));
+    std::sort(out.begin(), out.end());
+    EXPECT_EQ(out, step_lowered) << label;
+    EXPECT_EQ(value, lowered) << label;
+    if (!tel::compiled_in)
+      return;
+    EXPECT_EQ(counts.ops, 1u) << label;
+    EXPECT_EQ(counts.inspected, step_out_degrees) << label;
+    EXPECT_EQ(counts.relaxed, step_lowered.size()) << label;
+    EXPECT_EQ(counts.items_out, step_lowered.size()) << label;
+  };
+  check(ex::seq, csr, "seq/csr");
+  check(ex::par, csr, "par/csr");
+  check(ex::seq, blocks, "seq/compressed");
+  check(ex::par, blocks, "par/compressed");
+}
+
+// An unreached integer source offers infinity, not infinity + cost: with
+// a unit cost the sum would overflow and could "improve" a destination.
+TEST(RelaxPushStep, UnreachedIntegerSourceOffersNothing) {
+  auto const graph = step_graph();
+  vertex_t const inf = essentials::infinity_v<vertex_t>;
+  std::vector<vertex_t> const start{0, 5, 6, inf, 0, inf, inf, inf};
+  auto const check = [&](auto policy, auto program_of, char const* label) {
+    std::vector<vertex_t> value = start;
+    auto const [out, counts] =
+        push_once(policy, graph, {5}, program_of(value.data()));
+    EXPECT_TRUE(out.empty()) << label;
+    EXPECT_EQ(value, start) << label;
+    if (!tel::compiled_in)
+      return;
+    EXPECT_EQ(counts.inspected, 2u) << label;  // 5 -> 0 and 5 -> 7
+    EXPECT_EQ(counts.relaxed, 0u) << label;
+  };
+  auto const hops = [](vertex_t* v) {
+    return alg::min_plus_condition<alg::constant_cost<vertex_t{1}>>(v);
+  };
+  auto const labels = [](vertex_t* v) {
+    return alg::min_plus_condition<alg::constant_cost<vertex_t{0}>>(v);
+  };
+  check(ex::seq, hops, "seq/hops");
+  check(ex::par, hops, "par/hops");
+  check(ex::seq, labels, "seq/labels");
+  check(ex::par, labels, "par/labels");
+}
+
+// Contention: every vertex of a large frontier offers to one hub in the
+// same step, each offer below the one before it in frontier order, so a
+// serial push lowers the hub once per edge and a parallel one between
+// once and that often.  Whatever the interleaving, the hub ends at the
+// serial minimum, every lowering CAS emits it once (edges_relaxed ==
+// output size), and uniquify leaves it once.
+TYPED_TEST(RelaxPushStep, ContendedHubEndsAtTheSerialMinimumAndAppearsOnce) {
+  using T = TypeParam;
+  constexpr vertex_t kSources = 4096;
+  vertex_t const hub = kSources;
+  g::coo_t<> coo;
+  coo.num_rows = coo.num_cols = kSources + 1;
+  std::vector<vertex_t> members;
+  for (vertex_t v = 0; v < kSources; ++v) {
+    coo.push_back(v, hub, 1.0f);
+    members.push_back(v);
+  }
+  auto const graph = g::from_coo<g::graph_csr>(std::move(coo));
+  // Source v holds kSources - v, so the last source offers the least.
+  std::vector<T> start(static_cast<std::size_t>(kSources) + 1);
+  for (vertex_t v = 0; v < kSources; ++v) {
+    auto const x = static_cast<std::uint32_t>(kSources - v);
+    if constexpr (std::is_same_v<T, std::uint64_t>)
+      start[static_cast<std::size_t>(v)] = word_program::pack(x, 0);
+    else
+      start[static_cast<std::size_t>(v)] = static_cast<T>(x);
+  }
+  T expected_hub;
+  if constexpr (std::is_same_v<T, std::uint64_t>) {
+    start[static_cast<std::size_t>(hub)] =
+        word_program::pack(word_program::unset, word_program::unset);
+    expected_hub = word_program::pack(2, static_cast<std::uint32_t>(kSources - 1));
+  } else {
+    start[static_cast<std::size_t>(hub)] = essentials::infinity_v<T>;
+    expected_hub = std::is_same_v<T, weight_t> ? T{2} : T{1};
+  }
+
+  auto const check = [&](auto policy, char const* label) {
+    std::vector<T> value = start;
+    auto [out, counts] =
+        push_once(policy, graph, members, push_program(value.data()));
+    EXPECT_EQ(value[static_cast<std::size_t>(hub)], expected_hub) << label;
+    ASSERT_FALSE(out.empty()) << label;
+    EXPECT_TRUE(std::all_of(out.begin(), out.end(),
+                            [hub](vertex_t v) { return v == hub; }))
+        << label;
+    fr::sparse_frontier<vertex_t> unique(std::move(out));
+    alg::detail::uniquify_vertices(policy, unique,
+                                   static_cast<std::size_t>(kSources) + 1);
+    EXPECT_EQ(unique.active(), std::vector<vertex_t>{hub}) << label;
+    if (!tel::compiled_in)
+      return;
+    EXPECT_EQ(counts.inspected, static_cast<std::size_t>(kSources)) << label;
+    EXPECT_EQ(counts.relaxed, counts.items_out) << label;
+    EXPECT_GE(counts.relaxed, 1u) << label;
+  };
+  check(ex::seq, "seq");
+  check(ex::par, "par");
+  // A serial push meets the offers in decreasing order: every one lowers.
+  std::vector<T> value = start;
+  auto const [out, counts] =
+      push_once(ex::seq, graph, members, push_program(value.data()));
+  EXPECT_EQ(out.size(), static_cast<std::size_t>(kSources));
 }
