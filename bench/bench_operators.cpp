@@ -1,9 +1,10 @@
 // bench_operators — operator-level ablations of the design choices
 // DESIGN.md calls out, anchored on paper Listing 3:
 //
-//  - per-discovery mutex (the literal Listing 3 formulation) vs lock-free
-//    scan compaction (the default) — what eliminating the output lock
-//    buys;
+//  - per-discovery mutex (the literal Listing 3 formulation,
+//    `neighbors_expand_listing3`) vs lock-free scan compaction (every
+//    `par` operator's publication path) — what eliminating the output
+//    lock buys;
 //  - uniquify by sort vs by claim-bitmap — the frontier-dedup strategy
 //    trade (O(F log F) comparison sort vs O(F) + O(V) bitmap);
 //  - sparse-output vs dense-output advance — paying bitmap writes to get
@@ -59,14 +60,20 @@ void BM_AdvanceScanCompaction(benchmark::State& state) {
         op::advance_push(e::execution::par, graph(), in, always).size());
 }
 
+/// Advance, then uniquify(par): the set a BFS/SSSP-style superstep keeps.
+std::size_t advance_then_uniquify(fr::sparse_frontier<e::vertex_t> const& in) {
+  auto out = op::advance_push(e::execution::par, graph(), in, always);
+  op::uniquify(e::execution::par, out,
+               static_cast<std::size_t>(graph().get_num_vertices()));
+  return out.size();
+}
+
 void BM_AdvanceScanDedup(benchmark::State& state) {
-  // Scan + claim-bitmap dedup: the output is a set; measures the bitmap's
-  // cost against BM_AdvanceScanCompaction's multiset output.
+  // Scan, then the claim bitmap of uniquify: the output is a set; measures
+  // the bitmap pass against BM_AdvanceScanCompaction's multiset output.
   auto const in = frontier_of(static_cast<std::size_t>(state.range(0)));
-  auto const policy = e::execution::par.with_dedup();
   for (auto _ : state)
-    benchmark::DoNotOptimize(
-        op::advance_push(policy, graph(), in, always).size());
+    benchmark::DoNotOptimize(advance_then_uniquify(in));
 }
 
 void BM_AdvanceListing3Mutex(benchmark::State& state) {
@@ -208,9 +215,7 @@ int main(int argc, char** argv) {
   record("advance_push.scan_compaction", [&] {
     op::advance_push(e::execution::par, graph(), in, always);
   });
-  record("advance_push.scan_dedup", [&] {
-    op::advance_push(e::execution::par.with_dedup(), graph(), in, always);
-  });
+  record("advance_push.scan_dedup", [&] { advance_then_uniquify(in); });
   record("advance_push.listing3_mutex", [&] {
     op::neighbors_expand_listing3(e::execution::par, graph(), in, always);
   });
@@ -236,14 +241,14 @@ int main(int argc, char** argv) {
   std::vector<strategy_result> results;
   // Each strategy runs one untimed batch of calls (page faults, lane
   // scratch), then five timed ones; the median batch is reported, so one
-  // batch that the shared host slowed does not move the figure.
-  auto const measure = [&](char const* name, auto&& policy) {
+  // batch that the shared host slowed does not move the figure.  `expand`
+  // is one advance over `in`, returning the output size.
+  auto const measure = [&](char const* name, auto&& expand) {
     constexpr int reps = 10;  // calls per batch
     constexpr int batches = 5;
     auto const batch = [&] {
       for (int r = 0; r < reps; ++r)
-        benchmark::DoNotOptimize(
-            op::advance_push(policy, graph(), in, always).size());
+        benchmark::DoNotOptimize(expand());
     };
     batch();
     std::vector<double> seconds;
@@ -268,9 +273,14 @@ int main(int argc, char** argv) {
                        t.total_emits_scan() / reps,
                        t.total_emits_lock() / reps});
   };
-  namespace ex = e::execution;
-  measure("scan", ex::par);
-  measure("listing3", ex::par.with_frontier(ex::frontier_gen::listing3));
+  measure("scan", [&] {
+    return op::advance_push(e::execution::par, graph(), in, always).size();
+  });
+  measure("listing3", [&] {
+    return op::neighbors_expand_listing3(e::execution::par, graph(), in,
+                                         always)
+        .size();
+  });
 
   // Representation footprint: what the same graph costs as block-coded CSR
   // (the storage tier the operators can run on directly) next to the plain

@@ -216,8 +216,7 @@ std::size_t push_vertex(G const& g, Prog const& program,
 /// `in` offers its value across its out-edges (`detail::push_vertex`), and
 /// the output holds each destination once per CAS that lowered it, so it
 /// may repeat a vertex; `relax_bsp` uniquifies it.  Under `par` the output
-/// is generated per `policy.frontier` and deduplicated when `policy.dedup`
-/// is set, as `operators::advance_push` does.
+/// is scan-compacted, as `operators::advance_push`'s is.
 ///
 /// Telemetry records the op as `advance_push.seq` / `advance_push.par`,
 /// the names and counts of the generic push advance: `edges_inspected`
@@ -245,12 +244,9 @@ frontier::sparse_frontier<typename G::vertex_type> relax_push(
     probe.add_edges(inspected, relaxed);
   };
   if constexpr (parallel) {
-    auto const stats = frontier::generate(
-        policy.frontier, policy.pool(), in.size(), policy.edge_grain, out,
-        chunk,
-        operators::detail::dedup_filter(
-            policy, static_cast<std::size_t>(g.get_num_vertices())));
-    operators::detail::flush_generate_stats(probe, policy.frontier, stats);
+    auto const stats = frontier::generate_scan(
+        policy.pool(), in.size(), policy.edge_grain, out, chunk);
+    operators::detail::flush_generate_stats(probe, stats);
   } else {
     chunk(0, in.size(), [&out](V const u) { out.active().push_back(u); });
   }

@@ -25,7 +25,11 @@
 ///
 /// Policies carry the pool they dispatch to (defaulting to the process-wide
 /// pool), so different operators — or different phases of one algorithm —
-/// can be pinned to differently sized pools.
+/// can be pinned to differently sized pools.  Besides the pool, a policy
+/// carries only the two grains below.  How a parallel operator publishes a
+/// sparse output is not a policy choice: every one goes through the scan
+/// generator of core/frontier/frontier_gen.hpp, and an operator that needs
+/// a set runs `operators::uniquify` on its output.
 
 #include <cstddef>
 #include <type_traits>
@@ -33,24 +37,6 @@
 #include "parallel/thread_pool.hpp"
 
 namespace essentials::execution {
-
-/// How parallel operators publish discovered elements into a sparse output
-/// frontier — the "frontier as execution policy" knob (paper Table I):
-///
-///  - `scan`     — lock-free two-phase generation: workers emit into
-///                 cache-line-padded lane buffers, an exclusive prefix sum
-///                 over lane counts assigns each lane a disjoint slice of
-///                 the preallocated output, and lanes copy in with no locks
-///                 or atomics.  Deterministic output order.  The default.
-///  - `listing3` — paper Listing 3 verbatim: every discovered element is
-///                 appended under the frontier's per-element lock.  The
-///                 ablation baseline that quantifies what buffering buys.
-///
-/// Asynchronous (`par_nosync`) operators have no superstep barrier to run
-/// the compaction phase behind, so `scan` publishes each task's buffer with
-/// one locked append there — semantics are unchanged, only the publication
-/// cost differs.
-enum class frontier_gen : unsigned char { scan, listing3 };
 
 /// Grain heuristic, documented once here and applied by every advance-family
 /// operator: `grain` bounds scheduling overhead for *element-wise* bodies
@@ -91,18 +77,8 @@ class parallel_policy {
   /// heuristic note on `default_edge_grain`.
   std::size_t edge_grain = default_edge_grain;
 
-  /// Sparse-frontier generation strategy (see `frontier_gen`).
-  frontier_gen frontier = frontier_gen::scan;
-
-  /// When true, advance suppresses duplicate vertices in sparse outputs via
-  /// an atomic claim bitmap over |V| — the output becomes a *set*.  Off by
-  /// default because Listing 3/4 semantics are a multiset; turn on for
-  /// BFS/SSSP-style programs where re-expansion of a vertex is pure waste
-  /// (frontiers otherwise grow super-linearly on high-degree graphs).
-  bool dedup = false;
-
   // Builder-style copies, so the const `execution::par` instance composes:
-  //   auto p = execution::par.with_frontier(gen).with_dedup();
+  //   auto p = execution::par.with_edge_grain(4).with_grain(128);
   parallel_policy with_grain(std::size_t g) const {
     auto p = *this;
     p.grain = g;
@@ -111,16 +87,6 @@ class parallel_policy {
   parallel_policy with_edge_grain(std::size_t g) const {
     auto p = *this;
     p.edge_grain = g;
-    return p;
-  }
-  parallel_policy with_frontier(frontier_gen f) const {
-    auto p = *this;
-    p.frontier = f;
-    return p;
-  }
-  parallel_policy with_dedup(bool on = true) const {
-    auto p = *this;
-    p.dedup = on;
     return p;
   }
 
@@ -146,15 +112,6 @@ class parallel_nosync_policy {
   std::size_t grain = default_grain;
   std::size_t edge_grain = default_edge_grain;
 
-  /// Publication strategy for the caller-owned output frontier.  `scan`
-  /// requires a barrier, so here it publishes one locked append per task
-  /// (documented degradation); `listing3` is honored for ablations.
-  frontier_gen frontier = frontier_gen::scan;
-
-  /// Claim-bitmap dedup is not offered asynchronously: without a superstep
-  /// boundary there is no safe point to reset the bitmap, so duplicate
-  /// suppression belongs to the algorithm's own visited state.
-
   parallel_nosync_policy with_grain(std::size_t g) const {
     auto p = *this;
     p.grain = g;
@@ -163,11 +120,6 @@ class parallel_nosync_policy {
   parallel_nosync_policy with_edge_grain(std::size_t g) const {
     auto p = *this;
     p.edge_grain = g;
-    return p;
-  }
-  parallel_nosync_policy with_frontier(frontier_gen f) const {
-    auto p = *this;
-    p.frontier = f;
     return p;
   }
 

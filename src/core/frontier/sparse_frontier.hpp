@@ -11,10 +11,10 @@
 ///    mutex-protected `output.add_vertex(n)`;
 ///  - `append_bulk(...)`: one lock per lane-local buffer, the optimization
 ///    operators use to keep the critical section short (CP.43).
-/// The default parallel generation path avoids the lock entirely: operators
-/// build the active vector out-of-band with lane buffers + prefix-sum
-/// compaction (core/frontier/frontier_gen.hpp) and install it via
-/// `active()` before any reader can observe the frontier.
+/// The `par` operators avoid the lock entirely: they build the active
+/// vector out-of-band with lane buffers + prefix-sum compaction
+/// (core/frontier/frontier_gen.hpp) and install it via `active()` before
+/// any reader can observe the frontier.
 
 #include <cstddef>
 #include <functional>

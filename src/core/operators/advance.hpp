@@ -28,24 +28,22 @@
 ///    records its op under the same `advance_push.*` names and counts.
 ///  - representation: sparse -> sparse, sparse -> dense, dense -> dense.
 ///
-/// Sparse-output generation is itself a policy axis
-/// (`execution::frontier_gen`, dispatched through
-/// core/frontier/frontier_gen.hpp):
-///  - `scan` (default): lane buffers + prefix-sum compaction — zero locks
-///    and zero atomics on the output path, deterministic output order;
-///  - `listing3`: the paper's per-element-lock formulation
-///    (`neighbors_expand_listing3` forces this mode regardless of policy).
-/// `policy.dedup` additionally suppresses duplicate output vertices with an
-/// atomic claim bitmap (output becomes a set; condition side effects still
-/// run for every relaxing edge).
+/// Sparse output under `par` has one publication path: the scan generator
+/// of core/frontier/frontier_gen.hpp (lane buffers + prefix-sum
+/// compaction — zero locks and zero atomics on the output path,
+/// deterministic output order).  The output is a multiset, as in Listings
+/// 3 and 4; a caller that wants a set runs `uniquify` on it or claims
+/// inside its condition, as BFS does.  The paper's own formulation, one
+/// locked `add_vertex` per discovered neighbor, is kept as the function
+/// `neighbors_expand_listing3`.
 ///
 /// Telemetry: every overload opens a `telemetry::op_probe` and counts
 /// *edges inspected* (condition evaluated) and *edges relaxed* (condition
 /// returned true) in lane-local registers, flushed per chunk; sparse
-/// generation additionally reports lock-free vs locked emit counts, dedup
-/// hits, and lane-scratch reuse.  With no recording scope active this
-/// costs one thread-local pointer test per call; with telemetry compiled
-/// out it costs nothing (the counters become dead stores).  The counts are
+/// outputs additionally report lock-free vs locked emit counts and
+/// lane-scratch reuse.  With no recording scope active this costs one
+/// thread-local pointer test per call; with telemetry compiled out it
+/// costs nothing (the counters become dead stores).  The counts are
 /// defined so push and pull agree on a pure condition without early exit —
 /// the cross-direction invariant the differential suite
 /// (tests/test_differential.cpp) asserts.
@@ -72,21 +70,11 @@ concept advance_condition =
 
 namespace detail {
 
-/// The dedup claim bitmap for a parallel policy, or nullptr when dedup is
-/// off (thread-local scratch; cleared per call).
-inline parallel::atomic_bitset* dedup_filter(
-    execution::parallel_policy const& policy, std::size_t universe) {
-  return policy.dedup ? &frontier::dedup_scratch(policy.pool(), universe)
-                      : nullptr;
-}
-
-/// Flush a generation round's stats into the operator probe.
+/// Flush a scan generation round's stats into the operator probe: every
+/// emission was published lock-free.
 inline void flush_generate_stats(telemetry::op_probe const& probe,
-                                 execution::frontier_gen mode,
                                  frontier::generate_stats const& stats) {
-  bool const lock_free = frontier::lock_free_emits(mode);
-  probe.add_emits(lock_free ? stats.emitted : 0,
-                  lock_free ? 0 : stats.emitted, stats.dedup_hits);
+  probe.add_emits(stats.emitted, 0);
   probe.set_scratch_reused(stats.scratch_reused);
 }
 
@@ -124,9 +112,7 @@ frontier::sparse_frontier<typename G::vertex_type> advance_push(
 }
 
 /// Parallel synchronous push advance (one BSP superstep).  The sparse
-/// output is generated per `policy.frontier`: scan compaction (default,
-/// lock-free) or Listing 3 per-element locking — with optional
-/// claim-bitmap dedup (`policy.dedup`).
+/// output is scan-compacted: lock-free, in the sequential order.
 template <typename G, typename Cond>
   requires advance_condition<Cond, G>
 frontier::sparse_frontier<typename G::vertex_type> advance_push(
@@ -137,10 +123,8 @@ frontier::sparse_frontier<typename G::vertex_type> advance_push(
       telemetry::make_probe("advance_push.par", policy, in.size());
   frontier::sparse_frontier<V> out;
   auto const& active = in.active();
-  parallel::atomic_bitset* const dedup = detail::dedup_filter(
-      policy, static_cast<std::size_t>(g.get_num_vertices()));
-  auto const stats = frontier::generate(
-      policy.frontier, policy.pool(), active.size(), policy.edge_grain, out,
+  auto const stats = frontier::generate_scan(
+      policy.pool(), active.size(), policy.edge_grain, out,
       [&](std::size_t lo, std::size_t hi, auto&& emit) {
         std::size_t inspected = 0, relaxed = 0;
         for (std::size_t i = lo; i < hi; ++i) {
@@ -156,9 +140,8 @@ frontier::sparse_frontier<typename G::vertex_type> advance_push(
           }
         }
         probe.add_edges(inspected, relaxed);
-      },
-      dedup);
-  detail::flush_generate_stats(probe, policy.frontier, stats);
+      });
+  detail::flush_generate_stats(probe, stats);
   probe.set_items_out(out.size());
   return out;
 }
@@ -167,11 +150,11 @@ frontier::sparse_frontier<typename G::vertex_type> advance_push(
 /// returns immediately; the caller synchronizes via
 /// `policy.pool().wait_idle()` (or not at all).  Output is appended to the
 /// caller-owned `out` frontier.  There is no barrier behind which to run a
-/// compaction phase, so `frontier_gen::scan` publishes through a task-local
-/// buffer and one locked `append_bulk` per task; `listing3` is honored for
-/// ablations.  The telemetry record retires when the last chunk finishes
-/// (items_out is not sampled — the output is still owned by the caller);
-/// keep any recording scope alive across the eventual `wait_idle()`.
+/// compaction phase, so each vertex's emissions go to a local buffer that
+/// one locked `append_bulk` publishes.  The telemetry record retires when
+/// the last chunk finishes (items_out is not sampled — the output is still
+/// owned by the caller); keep any recording scope alive across the eventual
+/// `wait_idle()`.
 template <typename G, typename Cond>
   requires advance_condition<Cond, G>
 void advance_push(execution::parallel_nosync_policy policy, G const& g,
@@ -183,11 +166,9 @@ void advance_push(execution::parallel_nosync_policy policy, G const& g,
                                            in.size(), /*async=*/true);
   auto const state = probe.share();  // null when not recording
   auto const& active = in.active();
-  bool const per_element =
-      policy.frontier == execution::frontier_gen::listing3;
   parallel::parallel_for_nowait(
       policy.pool(), std::size_t{0}, active.size(),
-      [&g, &active, &out, cond, state, per_element](std::size_t i) {
+      [&g, &active, &out, cond, state](std::size_t i) {
         V const v = active[i];
         std::vector<V> local;
         std::size_t inspected = 0, relaxed = 0;
@@ -197,35 +178,56 @@ void advance_push(execution::parallel_nosync_policy policy, G const& g,
           ++inspected;
           if (cond(v, n, e, w)) {
             ++relaxed;
-            if (per_element)
-              out.add_vertex(n);  // per-element lock inside the frontier
-            else
-              local.push_back(n);
+            local.push_back(n);
           }
         }
-        if (!per_element)
-          out.append_bulk(local.data(), local.size());
+        out.append_bulk(local.data(), local.size());
         telemetry::flush_edges(state, inspected, relaxed);
         telemetry::flush_emits(state, 0, relaxed);
       },
       policy.edge_grain);
 }
 
-/// Paper Listing 3, verbatim semantics: parallel push advance whose output
-/// appends are serialized *per discovered neighbor* — the lock is the one
-/// inside `sparse_frontier::add_vertex` (Listing 3's mutex-protected
-/// `output.add_vertex(n)`), so the baseline exercises the public frontier
-/// API rather than poking `active()` directly.  This is `advance_push`
-/// under `frontier_gen::listing3`, whatever `policy.frontier` says; kept as
-/// a named entry point for the operator-ablation bench (bench_operators)
-/// that quantifies what buffering and scan compaction buy.
+/// Paper Listing 3 as it reads: a parallel for over the input frontier
+/// whose body appends every neighbor the condition accepts through the
+/// output frontier's `add_vertex`, whose lock serializes *per discovered
+/// neighbor* (Listing 3's mutex-protected `output.add_vertex(n)`).  It
+/// computes `advance_push(par, ...)`'s multiset in a racy order, and is
+/// the baseline the operator-ablation bench (bench_operators) measures
+/// scan compaction against.  Recorded as `advance_push.par`, with every
+/// emission counted as locked.
 template <typename G, typename Cond>
   requires advance_condition<Cond, G>
 frontier::sparse_frontier<typename G::vertex_type> neighbors_expand_listing3(
     execution::parallel_policy policy, G const& g,
     frontier::sparse_frontier<typename G::vertex_type> const& in, Cond cond) {
-  return advance_push(policy.with_frontier(execution::frontier_gen::listing3),
-                      g, in, cond);
+  using V = typename G::vertex_type;
+  auto const probe =
+      telemetry::make_probe("advance_push.par", policy, in.size());
+  frontier::sparse_frontier<V> out;
+  auto const& active = in.active();
+  policy.pool().run_blocked(
+      active.size(),
+      [&](std::size_t lo, std::size_t hi) {
+        std::size_t inspected = 0, relaxed = 0;
+        for (std::size_t i = lo; i < hi; ++i) {
+          V const v = active[i];
+          for (auto const e : g.get_edges(v)) {
+            V const n = g.get_dest_vertex(e);
+            auto const w = g.get_edge_weight(e);
+            ++inspected;
+            if (cond(v, n, e, w)) {
+              ++relaxed;
+              out.add_vertex(n);
+            }
+          }
+        }
+        probe.add_edges(inspected, relaxed);
+        probe.add_emits(0, relaxed);
+      },
+      policy.edge_grain);
+  probe.set_items_out(out.size());
+  return out;
 }
 
 /// The paper's name for push advance.  `neighbors_expand(policy, g, f,
@@ -420,8 +422,7 @@ frontier::dense_frontier<typename G::vertex_type> advance_pull(
 
 /// Expand a vertex frontier into the frontier of its incident out-edge ids
 /// (vertex-centric -> edge-centric handoff, paper §III-C's edge frontier).
-/// Parallel policies route through the policy's frontier-generation
-/// strategy (edge ids are unique by construction, so dedup never applies).
+/// Edge ids are unique by construction, so the output is a set.
 template <typename P, typename G>
   requires execution::synchronous_policy<P>
 frontier::sparse_frontier<typename G::edge_type> expand_to_edges(
@@ -441,10 +442,9 @@ frontier::sparse_frontier<typename G::edge_type> expand_to_edges(
     probe.add_edges(count, count);
   };
   if constexpr (std::decay_t<P>::is_parallel) {
-    auto const stats =
-        frontier::generate(policy.frontier, policy.pool(), active.size(),
-                           policy.edge_grain, out, chunk);
-    detail::flush_generate_stats(probe, policy.frontier, stats);
+    auto const stats = frontier::generate_scan(
+        policy.pool(), active.size(), policy.edge_grain, out, chunk);
+    detail::flush_generate_stats(probe, stats);
   } else {
     auto emit = [&out](E e) { out.active().push_back(e); };
     chunk(0, active.size(), emit);
@@ -455,9 +455,8 @@ frontier::sparse_frontier<typename G::edge_type> expand_to_edges(
 
 /// Edge-centric advance: the input frontier holds CSR edge ids; the
 /// condition sees the usual {src, dst, edge, weight} tuple and a true
-/// return contributes the edge's destination vertex to the output.
-/// Parallel policies route through the policy's frontier-generation
-/// strategy and honor `policy.dedup`.
+/// return contributes the edge's destination vertex to the output (a
+/// multiset, as `advance_push`'s).
 template <typename P, typename G, typename Cond>
   requires execution::synchronous_policy<P> && advance_condition<Cond, G>
 frontier::sparse_frontier<typename G::vertex_type> advance_edges(
@@ -482,13 +481,10 @@ frontier::sparse_frontier<typename G::vertex_type> advance_edges(
     probe.add_edges(hi - lo, relaxed);
   };
   if constexpr (std::decay_t<P>::is_parallel) {
-    parallel::atomic_bitset* const dedup = detail::dedup_filter(
-        policy, static_cast<std::size_t>(g.get_num_vertices()));
     // Edge-centric bodies do O(1) work per index: use the element grain.
-    auto const stats =
-        frontier::generate(policy.frontier, policy.pool(), active.size(),
-                           policy.grain, out, chunk, dedup);
-    detail::flush_generate_stats(probe, policy.frontier, stats);
+    auto const stats = frontier::generate_scan(
+        policy.pool(), active.size(), policy.grain, out, chunk);
+    detail::flush_generate_stats(probe, stats);
   } else {
     auto emit = [&out](V v) { out.active().push_back(v); };
     chunk(0, active.size(), emit);

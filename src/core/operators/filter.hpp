@@ -10,14 +10,11 @@
 /// typically run `advance → uniquify` or fold the dedupe into the condition
 /// via a claim bitmap.  All overloads are policy-disambiguated like advance.
 ///
-/// Sparse outputs are published through the policy's frontier-generation
-/// strategy (`execution::frontier_gen`, see core/frontier/frontier_gen.hpp):
-/// the default scan path compacts lane buffers with a prefix sum — no locks
-/// on the output path — while `listing3` reproduces the paper's per-element
-/// lock for ablations.  `filter` ignores `policy.dedup` (it has no id
-/// universe to size a claim bitmap over; run `uniquify` for that), and
-/// `uniquify` *is* the dedup filter: its claim bitmap rides the generation
-/// path's dedup hook, so both strategies produce the same set.
+/// Parallel sparse outputs are published by the scan generator
+/// (core/frontier/frontier_gen.hpp): lane buffers compacted with a prefix
+/// sum, no locks on the output path.  `uniquify(par)` is the one way to
+/// turn a sparse frontier into a set: its chunk body claims each id on a
+/// bitmap and emits the ids it claimed first.
 
 #include <algorithm>
 #include <cstddef>
@@ -46,11 +43,9 @@ frontier::sparse_frontier<T> filter(execution::sequenced_policy policy,
   return out;
 }
 
-/// Parallel synchronous filter.  Publication follows `policy.frontier`: the
-/// default scan path yields a deterministic, input-ordered output (chunk
-/// boundaries are fixed by the pool's chunking contract); the `listing3`
-/// ablation publishes under a lock in racy order (frontier order is
-/// semantically a set either way).
+/// Parallel synchronous filter.  The scan path yields a deterministic,
+/// input-ordered output (chunk boundaries are fixed by the pool's chunking
+/// contract).
 template <typename T, typename Pred>
 frontier::sparse_frontier<T> filter(execution::parallel_policy policy,
                                     frontier::sparse_frontier<T> const& in,
@@ -58,14 +53,14 @@ frontier::sparse_frontier<T> filter(execution::parallel_policy policy,
   auto const probe = telemetry::make_probe("filter.par", policy, in.size());
   frontier::sparse_frontier<T> out;
   auto const& active = in.active();
-  auto const stats = frontier::generate(
-      policy.frontier, policy.pool(), active.size(), policy.grain, out,
+  auto const stats = frontier::generate_scan(
+      policy.pool(), active.size(), policy.grain, out,
       [&](std::size_t lo, std::size_t hi, auto&& emit) {
         for (std::size_t i = lo; i < hi; ++i)
           if (pred(active[i]))
             emit(active[i]);
       });
-  detail::flush_generate_stats(probe, policy.frontier, stats);
+  detail::flush_generate_stats(probe, stats);
   probe.set_items_out(out.size());
   return out;
 }
@@ -119,24 +114,27 @@ void uniquify(execution::sequenced_policy policy,
 }
 
 /// Parallel uniquify via a claim bitmap over the id universe: O(|F|) work,
-/// no sort.  The bitmap is exactly the generation path's dedup filter, so
-/// the survivors are published per `policy.frontier` — lock-free scan
-/// compaction by default (deterministic first-claim-wins order per the
-/// pool's chunking contract), or the `listing3` locked ablation.
+/// no sort.  Each chunk claims its ids on the thread-local `dedup_scratch`
+/// bitmap and emits the ones it claimed; the survivors are scan-compacted.
+/// Which occurrence of a repeated id wins the claim is a race between
+/// chunks, so the order may vary from run to run; the set does not.
+/// Telemetry counts the dropped repeats as `dedup_hits`.
 template <typename T>
 void uniquify(execution::parallel_policy policy,
               frontier::sparse_frontier<T>& f, std::size_t universe) {
   auto const probe = telemetry::make_probe("uniquify.par", policy, f.size());
   frontier::sparse_frontier<T> out;
   auto const& active = f.active();
-  auto const stats = frontier::generate(
-      policy.frontier, policy.pool(), active.size(), policy.grain, out,
+  auto& claimed = frontier::dedup_scratch(policy.pool(), universe);
+  auto const stats = frontier::generate_scan(
+      policy.pool(), active.size(), policy.grain, out,
       [&](std::size_t lo, std::size_t hi, auto&& emit) {
         for (std::size_t i = lo; i < hi; ++i)
-          emit(active[i]);
-      },
-      &frontier::dedup_scratch(policy.pool(), universe));
-  detail::flush_generate_stats(probe, policy.frontier, stats);
+          if (claimed.test_and_set(static_cast<std::size_t>(active[i])))
+            emit(active[i]);
+      });
+  detail::flush_generate_stats(probe, stats);
+  probe.add_emits(0, 0, active.size() - stats.emitted);
   probe.set_items_out(out.size());
   swap(f, out);
 }

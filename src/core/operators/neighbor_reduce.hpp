@@ -14,9 +14,8 @@
 ///
 /// `neighbor_reduce_activate` closes the GAS loop: gather, then feed each
 /// vertex's folded value to an *activate* predicate; survivors form the
-/// next sparse frontier, published through the policy's frontier-generation
-/// strategy (`execution::frontier_gen`) — lock-free scan compaction by
-/// default, with the locked `listing3` path kept as an ablation.
+/// next sparse frontier, published by lock-free scan compaction
+/// (core/frontier/frontier_gen.hpp).
 
 #include <cstddef>
 
@@ -26,7 +25,6 @@
 #include "core/operators/compute.hpp"
 #include "core/telemetry.hpp"
 #include "core/types.hpp"
-#include "parallel/atomic_bitset.hpp"
 
 namespace essentials::operators {
 
@@ -85,11 +83,9 @@ void neighbor_reduce(P policy, G const& g,
 /// This is the operator shape iterative gather algorithms (delta-PageRank,
 /// label propagation) use to shrink their active set each round.
 ///
-/// The output frontier is produced by the policy's generation strategy and
-/// honors `policy.dedup` (a no-op when the input frontier is already a
-/// set, but it keeps repeated activations out when the caller's input
-/// carries duplicates).  The per-index body does O(out-degree) work, so
-/// the parallel branch uses `policy.edge_grain`.
+/// Each input entry is emitted at most once, so the output repeats a
+/// vertex only when the input does.  The per-index body does O(out-degree)
+/// work, so the parallel branch uses `policy.edge_grain`.
 template <typename P, typename G, typename T, typename R, typename MapF,
           typename CombineF, typename ActivateF>
   requires execution::synchronous_policy<P> && (G::has_csr)
@@ -120,12 +116,9 @@ frontier::sparse_frontier<T> neighbor_reduce_activate(
     probe.add_edges(folded, activated);
   };
   if constexpr (std::decay_t<P>::is_parallel) {
-    parallel::atomic_bitset* const dedup = detail::dedup_filter(
-        policy, static_cast<std::size_t>(g.get_num_vertices()));
-    auto const stats =
-        frontier::generate(policy.frontier, policy.pool(), active.size(),
-                           policy.edge_grain, next, chunk, dedup);
-    detail::flush_generate_stats(probe, policy.frontier, stats);
+    auto const stats = frontier::generate_scan(
+        policy.pool(), active.size(), policy.edge_grain, next, chunk);
+    detail::flush_generate_stats(probe, stats);
   } else {
     auto emit = [&next](T v) { next.active().push_back(v); };
     chunk(0, active.size(), emit);

@@ -94,7 +94,7 @@ struct op_record {
   std::size_t edges_relaxed = 0;    ///< condition returned true
   std::size_t emits_scan = 0;       ///< elements published lock-free (scan path)
   std::size_t emits_lock = 0;       ///< elements published under a lock
-  std::size_t dedup_hits = 0;       ///< emissions suppressed by the dedup bitmap
+  std::size_t dedup_hits = 0;       ///< repeats `uniquify` dropped
   bool scratch_reused = false;      ///< lane scratch arrived with warm capacity
   double millis = 0.0;              ///< wall time, launch -> retire
   std::size_t pool_lanes = 0;       ///< lanes available (0 == sequential)
@@ -443,8 +443,8 @@ inline void flush_edges(std::shared_ptr<probe_state> const& s,
 
 /// Flush frontier-generation counters into a shared probe state: how many
 /// elements were published lock-free (scan compaction) vs under a lock
-/// (listing3 per-element, par_nosync per-task), and how many emissions the
-/// dedup bitmap suppressed.
+/// (`neighbors_expand_listing3` per element, `par_nosync` per vertex), and
+/// how many repeated ids `uniquify` dropped.
 inline void flush_emits(std::shared_ptr<probe_state> const& s,
                         std::size_t scan, std::size_t lock,
                         std::size_t dedup = 0) {

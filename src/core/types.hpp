@@ -49,12 +49,24 @@ class graph_error : public std::runtime_error {
   explicit graph_error(std::string const& what) : std::runtime_error(what) {}
 };
 
+namespace detail {
+
+/// The throw behind `expects`, kept out of line so that the check itself
+/// stays small enough to inline wherever it is used.
+[[noreturn, gnu::cold, gnu::noinline]] inline void throw_graph_error(
+    char const* message) {
+  throw graph_error(message);
+}
+
+}  // namespace detail
+
 /// Lightweight contract check used across the library.  Unlike assert() it
 /// fires in release builds too: graph algorithms silently producing wrong
-/// results are far worse than an early throw.
+/// results are far worse than an early throw.  Inlined, it also shows the
+/// compiler that the code after it runs only when `condition` holds.
 inline void expects(bool condition, char const* message) {
   if (!condition)
-    throw graph_error(message);
+    detail::throw_graph_error(message);
 }
 
 /// Frontier/operator dichotomy: does an active set hold vertices or edges?

@@ -224,8 +224,11 @@ void remove_self_loops(coo_t<V, E, W>& coo) {
   coo.values.resize(kept);
 }
 
-/// Add the reverse of every edge (making the edge set symmetric).  Combine
-/// with sort_and_deduplicate to obtain a canonical undirected graph.
+/// Add the reverse of every edge.  Followed by sort_and_deduplicate, the
+/// edge set is symmetric under every duplicate policy and the weights are
+/// symmetric under `keep_min` (under `sum`, up to rounding), but not under
+/// the default `keep_first`: an input holding (u,v,w1) and (v,u,w2) keeps
+/// w(u,v) = w1 and w(v,u) = w2.
 template <typename V, typename E, typename W>
 void symmetrize(coo_t<V, E, W>& coo) {
   std::size_t const m = coo.row_indices.size();

@@ -15,8 +15,8 @@
 /// depends on lock acquisition races.
 ///
 /// Lanes are aligned to the destructive-interference size so two lanes'
-/// control fields (size, capacity, suppressed-count) never share a cache
-/// line — concurrent `push_back`s on neighboring lanes must not false-share.
+/// control fields (size, capacity) never share a cache line — concurrent
+/// `push_back`s on neighboring lanes must not false-share.
 ///
 /// Reuse contract: `acquire(k)` readies `k` lanes for a new round,
 /// *clearing element counts but keeping heap capacity*, so steady-state
@@ -40,10 +40,8 @@ inline constexpr std::size_t cache_line_size = 64;
 template <typename T>
 class lane_buffers {
  public:
-  /// One producer lane: a private output vector plus the lane-local count
-  /// of emissions a dedup filter suppressed (flushed to telemetry by the
-  /// operator that ran the round).  Padded so adjacent lanes never share a
-  /// cache line.
+  /// One producer lane: a private output vector, padded so adjacent lanes
+  /// never share a cache line.
   ///
   /// The buffer is a `numa_vector`: growth claims address space without
   /// value-initializing, so pages are first touched by the lane's *owner*
@@ -54,7 +52,6 @@ class lane_buffers {
   /// so warm capacity stays node-local across rounds.
   struct alignas(cache_line_size) lane_t {
     numa_vector<T> buf;
-    std::size_t suppressed = 0;  ///< dedup-filtered emissions this round
   };
 
   lane_buffers() = default;
@@ -67,10 +64,8 @@ class lane_buffers {
     bool const reused = rounds_ > 0 && lanes_.size() >= k;
     if (lanes_.size() < k)
       lanes_.resize(k);
-    for (auto& l : lanes_) {
+    for (auto& l : lanes_)
       l.buf.clear();
-      l.suppressed = 0;
-    }
     ++rounds_;
     return reused;
   }
@@ -86,14 +81,6 @@ class lane_buffers {
     std::size_t n = 0;
     for (auto const& l : lanes_)
       n += l.buf.size();
-    return n;
-  }
-
-  /// Sum of lane suppressed counts (coordinator-only, between rounds).
-  std::size_t total_suppressed() const noexcept {
-    std::size_t n = 0;
-    for (auto const& l : lanes_)
-      n += l.suppressed;
     return n;
   }
 

@@ -53,13 +53,16 @@ namespace essentials::residual {
 
 struct residual_options {
   double epsilon = 1e-9;        ///< convergence: total residual mass < ε
-  std::size_t num_buckets = 64; ///< factor-of-two magnitude bands
   std::size_t seq_threshold = 512;  ///< waves below this run inline (no pool)
-  /// Waves smaller than this absorb every remaining bucket instead of just
-  /// the top one: priority ordering cannot pay for its per-wave overhead
-  /// on a handful of vertices (the standing-query steady state).
-  std::size_t merge_threshold = 64;
 };
+
+/// Factor-of-two magnitude bands of the priority buckets.
+inline constexpr std::size_t residual_num_buckets = 64;
+
+/// Waves smaller than this absorb every remaining bucket instead of just
+/// the top one: priority ordering cannot pay for its per-wave overhead on a
+/// handful of vertices (the standing-query steady state).
+inline constexpr std::size_t residual_merge_threshold = 64;
 
 /// Outcome of one `reconverge` call.
 struct reconverge_stats {
@@ -87,7 +90,7 @@ class residual_state {
         values_(n, algebra.identity()),
         deltas_(n, algebra.identity()),
         queued_(n, 0),
-        buckets_(opt.num_buckets ? opt.num_buckets : 1,
+        buckets_(residual_num_buckets,
                  std::max<std::size_t>(pool.max_lanes(), 1)),
         floor_(algebra.schedule_floor(n, opt.epsilon)) {}
 
@@ -158,7 +161,7 @@ class residual_state {
         st.converged = true;
         return st;
       }
-      if (wave.size() < opt_.merge_threshold) {
+      if (wave.size() < residual_merge_threshold) {
         // Tiny wave: fold in everything else that is staged and run it as
         // the lowest band, so LLL demotion can't bounce items between
         // micro-waves.  Ordering is a heuristic — correctness only needs

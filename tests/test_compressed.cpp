@@ -216,11 +216,11 @@ TEST(Compressed, ThreadLocalCacheSurvivesGraphInterleaving) {
 
 TEST(Compressed, OperatorDifferentialAcrossPoliciesAndSubstrates) {
   // The tentpole contract: advance on the compressed adjacency substrate is
-  // bit-identical to advance on plain CSR across execution policies and
-  // frontier strategies.  "Bit-identical" follows the repo's differential
-  // convention: exact equality where the path is deterministic (seq, par
-  // scan), multiset equality where publication order is racy (listing3) —
-  // the same bar test_differential.cpp holds flat CSR to.
+  // bit-identical to advance on plain CSR across execution policies.
+  // "Bit-identical" follows the repo's differential convention: exact
+  // equality where the path is deterministic (seq, par scan), multiset
+  // equality where publication order is racy (the Listing 3 advance) — the
+  // same bar test_differential.cpp holds flat CSR to.
   auto const csr = rmat_like(400, 6000, 21);
   g::graph_csr flat;
   flat.set_csr(csr);
@@ -242,23 +242,22 @@ TEST(Compressed, OperatorDifferentialAcrossPoliciesAndSubstrates) {
 
   e::parallel::thread_pool pool(4);
   ex::parallel_policy const par_on_pool{pool};
-  for (auto const fg : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
-    auto const policy = par_on_pool.with_frontier(fg);
-    auto const flat_out = op::advance_push(policy, flat, in, cond).to_vector();
-    auto const comp_out = op::advance_push(policy, cg, in, cond).to_vector();
-    if (fg == ex::frontier_gen::scan) {
-      EXPECT_EQ(comp_out, flat_out) << "scan must match exactly";
-      EXPECT_EQ(comp_out, ref) << "scan must match seq exactly";
-    }
-    EXPECT_EQ(sorted_copy(comp_out), ref_sorted)
-        << "frontier " << static_cast<int>(fg);
-    // Dedup'd variants agree as sets.
-    auto const dd =
-        op::advance_push(policy.with_dedup(), cg, in, cond).to_vector();
-    auto dd_want = ref_sorted;
-    dd_want.erase(std::unique(dd_want.begin(), dd_want.end()), dd_want.end());
-    EXPECT_EQ(sorted_copy(dd), dd_want);
-  }
+  auto const flat_out =
+      op::advance_push(par_on_pool, flat, in, cond).to_vector();
+  auto const comp_out = op::advance_push(par_on_pool, cg, in, cond).to_vector();
+  EXPECT_EQ(comp_out, flat_out) << "scan must match exactly";
+  EXPECT_EQ(comp_out, ref) << "scan must match seq exactly";
+  EXPECT_EQ(sorted_copy(op::neighbors_expand_listing3(par_on_pool, cg, in,
+                                                      cond)
+                            .to_vector()),
+            ref_sorted);
+  // uniquify's sets agree.
+  fr::sparse_frontier<vertex_t> uniq(comp_out);
+  op::uniquify(par_on_pool, uniq, 400);
+  auto set_want = ref_sorted;
+  set_want.erase(std::unique(set_want.begin(), set_want.end()),
+                 set_want.end());
+  EXPECT_EQ(sorted_copy(uniq.to_vector()), set_want);
 }
 
 TEST(Compressed, NeighborReduceAndFilterDifferential) {
@@ -278,7 +277,7 @@ TEST(Compressed, NeighborReduceAndFilterDifferential) {
   op::neighbor_reduce(ex::par, cg, 0.0, map, combine, got.data());
   EXPECT_EQ(got, want);
 
-  // Frontier-restricted activate variant across generation strategies.
+  // Frontier-restricted activate variant.
   std::vector<vertex_t> seeds;
   for (vertex_t v = 0; v < 350; v += 5)
     seeds.push_back(v);
@@ -289,15 +288,13 @@ TEST(Compressed, NeighborReduceAndFilterDifferential) {
       op::neighbor_reduce_activate(ex::seq, flat, in, 0.0, map, combine,
                                    activate, out_ref.data())
           .to_vector());
-  for (auto const fg : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
-    std::vector<double> out_c(n, 0.0);
-    auto const act = sorted_copy(
-        op::neighbor_reduce_activate(ex::par.with_frontier(fg), cg, in, 0.0,
-                                     map, combine, activate, out_c.data())
-            .to_vector());
-    EXPECT_EQ(act, act_ref) << static_cast<int>(fg);
-    EXPECT_EQ(out_c, out_ref) << static_cast<int>(fg);
-  }
+  std::vector<double> out_c(n, 0.0);
+  auto const act = sorted_copy(
+      op::neighbor_reduce_activate(ex::par, cg, in, 0.0, map, combine,
+                                   activate, out_c.data())
+          .to_vector());
+  EXPECT_EQ(act, act_ref);
+  EXPECT_EQ(out_c, out_ref);
 
   // filter is graph-independent but rides the same policy matrix the
   // compressed outputs feed; sanity-check it over an advance result.

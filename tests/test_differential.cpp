@@ -134,8 +134,7 @@ void expect_variants_agree(g::graph_push_pull const& graph,
   std::size_t const n = static_cast<std::size_t>(graph.get_num_vertices());
   fr::sparse_frontier<vertex_t> const in(std::move(seeds));
 
-  tel::trace t_seq, t_par, t_nosync, t_l3, t_dense, t_pull;
-  tel::trace t_gen_l3, t_dedup;
+  tel::trace t_seq, t_par, t_nosync, t_l3, t_dense, t_pull, t_uniq;
 
   // Sequential push: the reference semantics.
   std::vector<vertex_t> ref_multiset;
@@ -162,28 +161,14 @@ void expect_variants_agree(g::graph_push_pull const& graph,
     auto const out = op::neighbors_expand_listing3(ex::par, graph, in, cond);
     EXPECT_EQ(sorted(out.to_vector()), ref_multiset);
   }
-  // The frontier-generation axis: every strategy computes the same multiset
-  // through one advance_push overload — only the publication path differs.
+  // uniquify turns the sparse multiset into a set (when the input frontier
+  // is itself duplicate-free, which every caller of this harness
+  // guarantees).
   {
-    tel::scoped_recording rec(t_gen_l3, "advance.par.listing3");
-    auto const out = op::advance_push(
-        ex::par.with_frontier(ex::frontier_gen::listing3), graph, in, cond);
-    EXPECT_EQ(sorted(out.to_vector()), ref_multiset);
-  }
-  // Dedup turns the sparse multiset into a set (when the input frontier is
-  // itself duplicate-free, which every caller of this harness guarantees).
-  {
-    tel::scoped_recording rec(t_dedup, "advance.par.dedup");
-    auto const out = op::advance_push(ex::par.with_dedup(), graph, in, cond);
-    EXPECT_EQ(deduped(out.to_vector()), ref_set);
-    EXPECT_EQ(out.size(), ref_set.size());  // already a set: dedup worked
-  }
-  {
-    auto const o2 = op::advance_push(
-        ex::par.with_dedup().with_frontier(ex::frontier_gen::listing3), graph,
-        in, cond);
-    EXPECT_EQ(o2.size(), ref_set.size());
-    EXPECT_EQ(deduped(o2.to_vector()), ref_set);
+    auto out = op::advance_push(ex::par, graph, in, cond);
+    tel::scoped_recording rec(t_uniq, "uniquify.par");
+    op::uniquify(ex::par, out, n);
+    EXPECT_EQ(sorted(out.to_vector()), ref_set);
   }
   // The scan path's output order is deterministic for a fixed pool and
   // grain: two identical runs must produce bit-identical vectors (the
@@ -218,24 +203,24 @@ void expect_variants_agree(g::graph_push_pull const& graph,
     EXPECT_EQ(t_l3.total_edges_relaxed(), relx);
     EXPECT_EQ(t_dense.total_edges_inspected(), insp);
     EXPECT_EQ(t_dense.total_edges_relaxed(), relx);
-    EXPECT_EQ(t_gen_l3.total_edges_inspected(), insp);
-    EXPECT_EQ(t_gen_l3.total_edges_relaxed(), relx);
     // …and across *directions* for a pure condition without early exit
     // (the input frontier holds unique ids, so CSR-side and CSC-side
     // traversals see the same edge set).
     EXPECT_EQ(t_pull.total_edges_inspected(), insp);
     EXPECT_EQ(t_pull.total_edges_relaxed(), relx);
 
-    // Emit accounting: scan publishes lock-free, listing3 publishes under
-    // a lock, and every relaxation is exactly one emit (no dedup).
+    // Emit accounting: scan publishes lock-free, Listing 3 publishes under
+    // a lock, and every relaxation is exactly one emit.
     EXPECT_EQ(t_par.total_emits_scan(), relx);
     EXPECT_EQ(t_par.total_emits_lock(), 0u);
-    EXPECT_EQ(t_gen_l3.total_emits_lock(), relx);
-    EXPECT_EQ(t_gen_l3.total_emits_scan(), 0u);
     EXPECT_EQ(t_par.total_dedup_hits(), 0u);
-    // With dedup on, emitted + suppressed == relaxed.
-    EXPECT_EQ(t_dedup.total_emits_scan() + t_dedup.total_dedup_hits(), relx);
-    EXPECT_EQ(t_dedup.total_emits_scan(), ref_set.size());
+    EXPECT_EQ(t_l3.total_emits_lock(), relx);
+    EXPECT_EQ(t_l3.total_emits_scan(), 0u);
+    // uniquify publishes the set and counts each repeat it dropped:
+    // emitted + dropped == its input, the relaxed multiset.
+    EXPECT_EQ(t_uniq.total_emits_scan() + t_uniq.total_dedup_hits(), relx);
+    EXPECT_EQ(t_uniq.total_emits_scan(), ref_set.size());
+    EXPECT_EQ(t_uniq.total_emits_lock(), 0u);
   }
 }
 
@@ -413,11 +398,11 @@ TEST(Differential, DensePushCountsAllRelaxationsDespiteDedup) {
   }
 }
 
-// --- frontier-generation strategies across the rest of the wired matrix ----
+// --- the rest of the wired operator matrix --------------------------------
 
 // The edge-centric pipeline (expand_to_edges -> advance_edges) matches the
-// vertex-centric push under every generation strategy.
-TEST(Differential, EdgeCentricPipelineHonorsGenerationStrategies) {
+// vertex-centric push.
+TEST(Differential, EdgeCentricPipelineMatchesPush) {
   auto const graph = random_graph(23);
   std::vector<vertex_t> seeds;
   for (vertex_t v = 0; v < 200; v += 5)
@@ -427,33 +412,13 @@ TEST(Differential, EdgeCentricPipelineHonorsGenerationStrategies) {
   auto const ref =
       sorted(op::advance_push(ex::seq, graph, in, pure_mod).to_vector());
 
-  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
-    auto const policy = ex::par.with_frontier(mode);
-    auto const edges = op::expand_to_edges(policy, graph, in);
-    auto const out = op::advance_edges(policy, graph, edges, pure_mod);
-    EXPECT_EQ(sorted(out.to_vector()), ref);
-  }
+  auto const edges = op::expand_to_edges(ex::par, graph, in);
+  auto const out = op::advance_edges(ex::par, graph, edges, pure_mod);
+  EXPECT_EQ(sorted(out.to_vector()), ref);
 }
 
-// filter produces the same set under every strategy; the scan path is
-// additionally deterministic and preserves input order.
-TEST(Differential, FilterStrategiesAgree) {
-  std::vector<vertex_t> ids;
-  for (vertex_t v = 0; v < 10000; ++v)
-    ids.push_back(v);
-  fr::sparse_frontier<vertex_t> const in(std::move(ids));
-  auto const pred = [](vertex_t v) { return v % 3 == 0; };
-
-  auto const ref = op::filter(ex::seq, in, pred).to_vector();  // input order
-  auto const scan_out = op::filter(ex::par, in, pred);
-  EXPECT_EQ(scan_out.to_vector(), ref);  // deterministic AND order-preserving
-  auto const locked =
-      op::filter(ex::par.with_frontier(ex::frontier_gen::listing3), in, pred);
-  EXPECT_EQ(sorted(locked.to_vector()), ref);  // ref is already sorted
-}
-
-// uniquify's claim bitmap rides the generation path's dedup hook: all
-// strategies agree with the sequential sort+unique on the surviving set.
+// uniquify's two strategies, sort + unique (seq) and the claim bitmap
+// (par), keep the same set; par counts every repeat it dropped.
 TEST(Differential, UniquifyStrategiesProduceTheSameSet) {
   std::vector<vertex_t> dups;
   for (vertex_t v = 0; v < 512; ++v) {
@@ -466,34 +431,27 @@ TEST(Differential, UniquifyStrategiesProduceTheSameSet) {
   op::uniquify(ex::seq, f_seq);
   EXPECT_EQ(f_seq.to_vector(), ref);
 
-  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
-    fr::sparse_frontier<vertex_t> f{dups};
-    tel::trace t;
-    {
-      tel::scoped_recording rec(t, "uniquify");
-      op::uniquify(ex::par.with_frontier(mode), f, /*universe=*/97);
-    }
-    EXPECT_EQ(deduped(f.to_vector()), ref);
-    EXPECT_EQ(f.size(), ref.size());
-    if (tel::compiled_in) {
-      EXPECT_EQ(t.total_dedup_hits(), dups.size() - ref.size());
-      if (mode == ex::frontier_gen::scan) {
-        EXPECT_EQ(t.total_emits_scan(), ref.size());
-        EXPECT_EQ(t.total_emits_lock(), 0u);
-      } else {
-        EXPECT_EQ(t.total_emits_lock(), ref.size());
-        EXPECT_EQ(t.total_emits_scan(), 0u);
-      }
-    }
+  fr::sparse_frontier<vertex_t> f{dups};
+  tel::trace t;
+  {
+    tel::scoped_recording rec(t, "uniquify");
+    op::uniquify(ex::par, f, /*universe=*/97);
+  }
+  EXPECT_EQ(sorted(f.to_vector()), ref);
+  if (tel::compiled_in) {
+    EXPECT_EQ(t.total_dedup_hits(), dups.size() - ref.size());
+    EXPECT_EQ(t.total_emits_scan(), ref.size());
+    EXPECT_EQ(t.total_emits_lock(), 0u);
   }
 }
 
-// --- operator x generation-strategy matrix vs the sequential reference ----
+// --- operator matrix vs the sequential reference ---------------------------
 
 // `execution::seq` is the documented reference every parallel overload must
 // match.  The scan path must be *bit-identical* to it on an 8-worker pool
 // (scan output order is chunk-major, input order within a chunk — the
-// sequential order); the locked listing3 path promises multiset equality.
+// sequential order); the locked Listing 3 advance promises multiset
+// equality.
 TEST(Differential, AdvanceMatrixMatchesSeq) {
   essentials::parallel::thread_pool pool(8);
   ex::parallel_policy const on_pool(pool);
@@ -506,14 +464,11 @@ TEST(Differential, AdvanceMatrixMatchesSeq) {
     fr::sparse_frontier<vertex_t> const in(std::move(seeds));
     auto const ref = op::advance_push(ex::seq, graph, in, pure_mod).to_vector();
 
-    for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
-      auto const a = op::advance_push(on_pool.with_frontier(mode), graph, in,
-                                      pure_mod);
-      if (mode == ex::frontier_gen::scan)
-        EXPECT_EQ(a.to_vector(), ref) << "scan must be bit-identical";
-      else
-        EXPECT_EQ(sorted(a.to_vector()), sorted(ref));
-    }
+    auto const a = op::advance_push(on_pool, graph, in, pure_mod);
+    EXPECT_EQ(a.to_vector(), ref) << "scan must be bit-identical";
+    auto const l3 =
+        op::neighbors_expand_listing3(on_pool, graph, in, pure_mod);
+    EXPECT_EQ(sorted(l3.to_vector()), sorted(ref));
   }
 }
 
@@ -528,13 +483,8 @@ TEST(Differential, FilterMatrixMatchesSeq) {
   auto const pred = [](vertex_t v) { return v % 7 != 2; };
   auto const ref = op::filter(ex::seq, in, pred).to_vector();
 
-  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
-    auto const a = op::filter(on_pool.with_frontier(mode), in, pred);
-    if (mode == ex::frontier_gen::scan)
-      EXPECT_EQ(a.to_vector(), ref);  // deterministic input order
-    else
-      EXPECT_EQ(sorted(a.to_vector()), ref);  // ref is already sorted
-  }
+  auto const a = op::filter(on_pool, in, pred);
+  EXPECT_EQ(a.to_vector(), ref);  // deterministic input order
 }
 
 TEST(Differential, NeighborReduceMatrixMatchesSeq) {
@@ -558,28 +508,22 @@ TEST(Differential, NeighborReduceMatrixMatchesSeq) {
   auto const f_ref = op::neighbor_reduce_activate(
       ex::seq, graph, in, 0.0, map_w, combine, activate, out_ref.data());
 
-  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
-    std::vector<double> out(n, -1.0);
-    auto const f = op::neighbor_reduce_activate(
-        on_pool.with_frontier(mode), graph, in, 0.0, map_w, combine,
-        activate, out.data());
-    // out[v] is one lane's in-order fold of v's edges regardless of
-    // scheduling: exact equality holds for every strategy.
-    EXPECT_EQ(out, out_ref);
-    if (mode == ex::frontier_gen::scan)
-      EXPECT_EQ(f.to_vector(), f_ref.to_vector());
-    else
-      EXPECT_EQ(sorted(f.to_vector()), sorted(f_ref.to_vector()));
-  }
+  std::vector<double> out(n, -1.0);
+  auto const f = op::neighbor_reduce_activate(on_pool, graph, in, 0.0, map_w,
+                                              combine, activate, out.data());
+  // out[v] is one lane's in-order fold of v's edges regardless of
+  // scheduling, so it is exact.
+  EXPECT_EQ(out, out_ref);
+  EXPECT_EQ(f.to_vector(), f_ref.to_vector());
 }
 
-// --- operator x generation-strategy matrix across the pool's two queues ---
+// --- operator matrix across the pool's two queues --------------------------
 
 // A caller that holds a lane queues its run_blocked chunks on its own lane
 // deque; a caller that cannot claim one (every external slot held) queues
 // them on the locked FIFO injector.  Both follow the same chunking
-// contract, so the scan path is bit-identical across the two and listing3
-// agrees as a multiset.
+// contract, so the scan path is bit-identical across the two and the
+// Listing 3 advance agrees as a multiset.
 TEST(Differential, AdvanceMatrixAgreesAcrossQueueSubstrates) {
   essentials::parallel::thread_pool deques(8);
   essentials::parallel::thread_pool injector(8);
@@ -594,16 +538,14 @@ TEST(Differential, AdvanceMatrixAgreesAcrossQueueSubstrates) {
       seeds.push_back(v);
     fr::sparse_frontier<vertex_t> const in(std::move(seeds));
 
-    for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
-      auto const a = op::advance_push(on_deques.with_frontier(mode), graph,
-                                      in, pure_mod);
-      auto const b = op::advance_push(on_injector.with_frontier(mode), graph,
-                                      in, pure_mod);
-      if (mode == ex::frontier_gen::scan)
-        EXPECT_EQ(a.to_vector(), b.to_vector()) << "scan must be bit-identical";
-      else
-        EXPECT_EQ(sorted(a.to_vector()), sorted(b.to_vector()));
-    }
+    auto const a = op::advance_push(on_deques, graph, in, pure_mod);
+    auto const b = op::advance_push(on_injector, graph, in, pure_mod);
+    EXPECT_EQ(a.to_vector(), b.to_vector()) << "scan must be bit-identical";
+    auto const la =
+        op::neighbors_expand_listing3(on_deques, graph, in, pure_mod);
+    auto const lb =
+        op::neighbors_expand_listing3(on_injector, graph, in, pure_mod);
+    EXPECT_EQ(sorted(la.to_vector()), sorted(lb.to_vector()));
   }
   EXPECT_EQ(deques.lane_id(), deques.size());  // claimed an external lane
   EXPECT_EQ(injector.lane_id(), essentials::parallel::thread_pool::no_lane);
@@ -622,14 +564,9 @@ TEST(Differential, FilterMatrixAgreesAcrossQueueSubstrates) {
   fr::sparse_frontier<vertex_t> const in(std::move(ids));
   auto const pred = [](vertex_t v) { return v % 7 != 2; };
 
-  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
-    auto const a = op::filter(on_deques.with_frontier(mode), in, pred);
-    auto const b = op::filter(on_injector.with_frontier(mode), in, pred);
-    if (mode == ex::frontier_gen::scan)
-      EXPECT_EQ(a.to_vector(), b.to_vector());
-    else
-      EXPECT_EQ(sorted(a.to_vector()), sorted(b.to_vector()));
-  }
+  auto const a = op::filter(on_deques, in, pred);
+  auto const b = op::filter(on_injector, in, pred);
+  EXPECT_EQ(a.to_vector(), b.to_vector());
   EXPECT_EQ(injector.lane_id(), essentials::parallel::thread_pool::no_lane);
 }
 
@@ -653,20 +590,13 @@ TEST(Differential, NeighborReduceMatrixAgreesAcrossQueueSubstrates) {
   auto const combine = [](double a, double b) { return a + b; };
   auto const activate = [](vertex_t, double acc) { return acc > 8.0; };
 
-  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
-    std::vector<double> out_a(n, -1.0), out_b(n, -1.0);
-    auto const fa = op::neighbor_reduce_activate(
-        on_deques.with_frontier(mode), graph, in, 0.0, map_w, combine,
-        activate, out_a.data());
-    auto const fb = op::neighbor_reduce_activate(
-        on_injector.with_frontier(mode), graph, in, 0.0, map_w, combine,
-        activate, out_b.data());
-    EXPECT_EQ(out_a, out_b);
-    if (mode == ex::frontier_gen::scan)
-      EXPECT_EQ(fa.to_vector(), fb.to_vector());
-    else
-      EXPECT_EQ(sorted(fa.to_vector()), sorted(fb.to_vector()));
-  }
+  std::vector<double> out_a(n, -1.0), out_b(n, -1.0);
+  auto const fa = op::neighbor_reduce_activate(
+      on_deques, graph, in, 0.0, map_w, combine, activate, out_a.data());
+  auto const fb = op::neighbor_reduce_activate(
+      on_injector, graph, in, 0.0, map_w, combine, activate, out_b.data());
+  EXPECT_EQ(out_a, out_b);
+  EXPECT_EQ(fa.to_vector(), fb.to_vector());
   EXPECT_EQ(injector.lane_id(), essentials::parallel::thread_pool::no_lane);
 }
 

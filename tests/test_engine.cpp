@@ -951,7 +951,8 @@ TEST(EngineStatsSchema, GoldenKeyListAndVersion) {
   };
   std::size_t pos = 0;
   for (char const* key : expected) {
-    auto const at = json.find("\"" + std::string(key) + "\":", pos);
+    auto const at =
+        json.find(std::string("\"").append(key).append("\":"), pos);
     ASSERT_NE(at, std::string::npos) << "missing or out-of-order key: " << key;
     pos = at + 1;
   }

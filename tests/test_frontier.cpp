@@ -310,9 +310,17 @@ TEST(AsyncQueueFrontierReuse, ProducerStormAcrossCloseClearCycles) {
         fr.add_vertex(i++);
     });
 
+  constexpr int cycles = 25;
   std::atomic<std::size_t> consumed{0};
-  for (int cycle = 0; cycle < 25; ++cycle) {
+  for (int cycle = 0; cycle < cycles; ++cycle) {
     fr.clear();  // consumers of the previous cycle joined below
+    // A reopened queue that is empty with nothing in flight is quiescent,
+    // and pop reports quiescence as the end of the run.  So the cycle's
+    // consumers start only once a producer has pushed into it, and close()
+    // waits until they have taken work.
+    while (fr.empty())
+      std::this_thread::yield();
+    std::size_t const before = consumed.load();
     auto consumer = [&] {
       vertex_t v;
       while (fr.pop_vertex(v)) {
@@ -321,6 +329,8 @@ TEST(AsyncQueueFrontierReuse, ProducerStormAcrossCloseClearCycles) {
       }
     };
     std::thread c1(consumer), c2(consumer);
+    while (consumed.load() == before)
+      std::this_thread::yield();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     fr.close();
     c1.join();
@@ -329,7 +339,7 @@ TEST(AsyncQueueFrontierReuse, ProducerStormAcrossCloseClearCycles) {
   stop.store(true, std::memory_order_release);
   for (auto& t : producers)
     t.join();
-  EXPECT_GT(consumed.load(), 0u);
+  EXPECT_GE(consumed.load(), static_cast<std::size_t>(cycles));
 }
 
 // --- concepts --------------------------------------------------------------------

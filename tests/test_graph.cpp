@@ -230,6 +230,39 @@ TEST(Build, SymmetrizeMakesSymmetric) {
   EXPECT_TRUE(g::is_symmetric(csr));
 }
 
+// symmetrize + sort_and_deduplicate gives a symmetric edge set under every
+// duplicate policy, but symmetric weights only where the policy makes them
+// so: with (0,1,5) and (1,0,2) in the input, keep_first keeps each
+// direction's own weight and keep_min keeps 2 both ways.
+TEST(Build, SymmetrizeWeightsFollowTheDuplicatePolicy) {
+  auto const two_edges = [] {
+    g::coo_t<> coo;
+    coo.num_rows = coo.num_cols = 2;
+    coo.push_back(0, 1, 5.0f);
+    coo.push_back(1, 0, 2.0f);
+    g::symmetrize(coo);
+    return coo;
+  };
+  for (auto const policy :
+       {g::duplicate_policy::keep_first, g::duplicate_policy::keep_min,
+        g::duplicate_policy::sum}) {
+    auto coo = two_edges();
+    g::sort_and_deduplicate(coo, policy);
+    ASSERT_EQ(coo.num_edges(), 2);
+    EXPECT_TRUE(g::is_symmetric(g::build_csr(coo)));
+  }
+
+  auto first = two_edges();
+  g::sort_and_deduplicate(first, g::duplicate_policy::keep_first);
+  EXPECT_FLOAT_EQ(first.values[0], 5.0f);  // (0,1)
+  EXPECT_FLOAT_EQ(first.values[1], 2.0f);  // (1,0)
+
+  auto min = two_edges();
+  g::sort_and_deduplicate(min, g::duplicate_policy::keep_min);
+  EXPECT_FLOAT_EQ(min.values[0], 2.0f);  // (0,1)
+  EXPECT_FLOAT_EQ(min.values[1], 2.0f);  // (1,0)
+}
+
 TEST(Build, TransposeSwapsEndpoints) {
   auto coo = diamond();
   g::transpose(coo);

@@ -133,7 +133,7 @@ TEST(Mapped, OperatorsAndAlgorithmsMatchPlainCsr) {
   g::graph_csr flat;
   flat.set_csr(csr);
 
-  // advance on the mapped graph, across frontier strategies.
+  // advance on the mapped graph, scan-compacted and as Listing 3.
   std::vector<vertex_t> seeds;
   for (vertex_t v = 0; v < 600; v += 9)
     seeds.push_back(v);
@@ -146,12 +146,11 @@ TEST(Mapped, OperatorsAndAlgorithmsMatchPlainCsr) {
       sorted_copy(op::advance_push(ex::seq, flat, in, cond).to_vector());
   EXPECT_EQ(sorted_copy(op::advance_push(ex::seq, mg, in, cond).to_vector()),
             ref);
-  for (auto const fg : {ex::frontier_gen::scan, ex::frontier_gen::listing3})
-    EXPECT_EQ(sorted_copy(op::advance_push(ex::par.with_frontier(fg), mg, in,
-                                           cond)
-                              .to_vector()),
-              ref)
-        << static_cast<int>(fg);
+  EXPECT_EQ(sorted_copy(op::advance_push(ex::par, mg, in, cond).to_vector()),
+            ref);
+  EXPECT_EQ(sorted_copy(
+                op::neighbors_expand_listing3(ex::par, mg, in, cond).to_vector()),
+            ref);
 
   // Full traversals never fully materialize the adjacency in RAM.
   EXPECT_EQ(alg::bfs(ex::par, mg, vertex_t{0}).depths,

@@ -394,25 +394,18 @@ TEST(ExecutionPolicies, PolicyCarriesItsPool) {
 }
 
 TEST(ExecutionPolicies, BuildersComposeWithoutMutatingTheSource) {
-  auto const p = ex::par.with_frontier(ex::frontier_gen::listing3)
-                     .with_dedup()
-                     .with_edge_grain(4)
-                     .with_grain(128);
-  EXPECT_EQ(p.frontier, ex::frontier_gen::listing3);
-  EXPECT_TRUE(p.dedup);
+  auto const p = ex::par.with_edge_grain(4).with_grain(128);
   EXPECT_EQ(p.edge_grain, 4u);
   EXPECT_EQ(p.grain, 128u);
   // The shared const instance is untouched.
-  EXPECT_EQ(ex::par.frontier, ex::frontier_gen::scan);
-  EXPECT_FALSE(ex::par.dedup);
   EXPECT_EQ(ex::par.grain, ex::default_grain);
   EXPECT_EQ(ex::par.edge_grain, ex::default_edge_grain);
 
-  auto const ns = ex::par_nosync.with_frontier(ex::frontier_gen::listing3)
-                      .with_edge_grain(8);
-  EXPECT_EQ(ns.frontier, ex::frontier_gen::listing3);
+  auto const ns = ex::par_nosync.with_grain(64).with_edge_grain(8);
+  EXPECT_EQ(ns.grain, 64u);
   EXPECT_EQ(ns.edge_grain, 8u);
-  EXPECT_EQ(ex::par_nosync.frontier, ex::frontier_gen::scan);
+  EXPECT_EQ(ex::par_nosync.grain, ex::default_grain);
+  EXPECT_EQ(ex::par_nosync.edge_grain, ex::default_edge_grain);
 }
 
 TEST(ExecutionPolicies, AdvanceHonorsCustomEdgeGrain) {
@@ -443,7 +436,7 @@ TEST(NeighborReduceActivate, GathersAndActivates) {
   EXPECT_EQ(sums, (std::vector<float>{2.f, 2.f, 1.f, 1.f}));
 }
 
-TEST(NeighborReduceActivate, SeqMatchesParAcrossStrategies) {
+TEST(NeighborReduceActivate, SeqMatchesPar) {
   auto const graph = rmat_graph();
   std::size_t const n = static_cast<std::size_t>(graph.get_num_vertices());
   std::vector<vertex_t> seeds;
@@ -463,14 +456,12 @@ TEST(NeighborReduceActivate, SeqMatchesParAcrossStrategies) {
                                                 ref_sums.data());
   auto const ref_sorted = sorted(ref.to_vector());
 
-  for (auto mode : {ex::frontier_gen::scan, ex::frontier_gen::listing3}) {
-    std::vector<long> sums(n, 0);
-    auto const out = op::neighbor_reduce_activate(
-        ex::par.with_frontier(mode), graph, in, 0L, map, combine, activate,
-        sums.data());
-    EXPECT_EQ(sorted(out.to_vector()), ref_sorted);
-    EXPECT_EQ(sums, ref_sums);
-  }
+  std::vector<long> sums(n, 0);
+  auto const out = op::neighbor_reduce_activate(ex::par, graph, in, 0L, map,
+                                                combine, activate,
+                                                sums.data());
+  EXPECT_EQ(sorted(out.to_vector()), ref_sorted);
+  EXPECT_EQ(sums, ref_sums);
 }
 
 TEST(NeighborReduceActivate, FrontierRestriction) {

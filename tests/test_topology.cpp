@@ -55,8 +55,11 @@ fs::path make_sysfs_fixture(std::string const& name,
   fs::path const cpu_root = root / "devices/system/cpu";
 
   std::string online;
-  for (auto const& c : cpus)
-    online += (online.empty() ? "" : ",") + std::to_string(c.id);
+  for (auto const& c : cpus) {
+    if (!online.empty())
+      online += ',';
+    online += std::to_string(c.id);
+  }
   write_file(cpu_root / "online", online);
 
   for (auto const& c : cpus) {
