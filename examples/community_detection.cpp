@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   for (auto const& [label, size] : sizes)
     largest = std::max(largest, size);
   std::printf("\ncomponents: %zu (largest holds %.1f%% of people), "
-              "%zu label-propagation supersteps\n",
+              "%zu link phases\n",
               cc.num_components,
               100.0 * static_cast<double>(largest) / g.get_num_vertices(),
               cc.iterations);

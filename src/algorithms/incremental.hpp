@@ -12,8 +12,10 @@
 /// full source frontier re-derives everything; seeding the frontier from
 /// the delta's source endpoints instead re-derives only the cone the new
 /// edges actually improve — usually a few supersteps over a few vertices.
-/// Warm and cold runs are the same loop, `relax_bsp` (algorithms/relax.hpp),
-/// with different seeds.
+/// Every warm run is the loop cold SSSP and BFS depths run, `relax_bsp`
+/// (algorithms/relax.hpp), with a different seed; cold CC is Afforest
+/// (algorithms/connected_components.hpp), and its warm path is label
+/// propagation in that loop, which reaches the same minimum-id labels.
 ///
 /// Correctness argument (the reason warm results are bit-identical to
 /// cold): seed the frontier with every delta-record source endpoint whose
@@ -262,11 +264,12 @@ bfs_result<typename G::vertex_type> bfs_incremental(
 /// symmetrized graph, like the cold variant).  Inserts only merge
 /// components, so the previous labels are valid upper bounds and seeding
 /// both endpoints of every delta edge floods the smaller label through the
-/// merged component.  Labels are bit-identical to the cold fixed point
-/// (min vertex id per component).  Deletions can split components —
-/// fallback.  Weight-only changes also route through the conservative
-/// `remove` marking and fall back, although CC ignores weights; that
-/// pessimism costs a cold run, never correctness.
+/// merged component.  Labels are bit-identical to the cold ones (min
+/// vertex id per component).  `iterations` counts this loop's supersteps
+/// and a cold call's link phases, so `supersteps_saved` compares the two.
+/// Deletions can split components — fallback.  Weight-only changes also
+/// route through the conservative `remove` marking and fall back, although
+/// CC ignores weights; that pessimism costs a cold run, never correctness.
 template <typename P, typename G>
   requires execution::synchronous_policy<P>
 cc_result<typename G::vertex_type> connected_components_incremental(

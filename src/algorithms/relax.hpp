@@ -8,17 +8,16 @@
 ///
 ///     value[dst] = min(value[dst], value[src] + cost(weight))
 ///
-/// where the cost is the edge weight (SSSP), 0 (CC labels) or 1 (BFS
-/// hops).  This header holds the program once, as `min_plus_condition`,
-/// its two supersteps — `relax_push` (GraphLab's scatter) and `relax_pull`
-/// (its gather) — and one loop per timing/communication model of PAPER.md
-/// Table I:
+/// where the cost is the edge weight (SSSP), 0 (CC labels, on the warm
+/// path only) or 1 (BFS hops).  This header holds the program once, as
+/// `min_plus_condition`, its two supersteps — `relax_push` (GraphLab's
+/// scatter) and `relax_pull` (its gather) — and one loop per
+/// timing/communication model of PAPER.md Table I:
 ///  - `relax_bsp` — bulk-synchronous from a seed set: push, uniquify,
 ///    repeat until the frontier is empty; on graphs with a CSC view, dense
 ///    supersteps pull instead (`enactor::direction_loop`).  Cold runs seed
-///    the source (every vertex for CC); warm runs
-///    (algorithms/incremental.hpp) seed the delta's endpoints over the
-///    previous epoch's values.
+///    the source; warm runs (algorithms/incremental.hpp) seed the delta's
+///    endpoints over the previous epoch's values.
 ///  - `relax_async` — an asynchronous queue with no supersteps; workers
 ///    push from popped vertices and queue what they improve until
 ///    quiescence.
@@ -26,9 +25,10 @@
 ///    words travel through `frontier::distributed_frontier`, each rank
 ///    pushing from its owned vertices sequentially or on a private pool.
 ///
-/// Every SSSP, CC and BFS-depth variant in sssp.hpp, bfs.hpp,
-/// connected_components.hpp and incremental.hpp seeds one of these loops;
-/// the variants differ only in the seed, the cost and the value lattice.
+/// Every SSSP and BFS-depth variant in sssp.hpp and bfs.hpp, and the three
+/// warm paths in incremental.hpp, seed one of these loops; the variants
+/// differ only in the seed, the cost and the value lattice.  Cold CC is
+/// Afforest's union-find (connected_components.hpp), not this program.
 /// Delta-stepping (sssp_delta.hpp) pushes a weight-banded program through
 /// the same step.
 ///

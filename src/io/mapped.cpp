@@ -1,9 +1,16 @@
 #include "io/mapped.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -139,37 +146,113 @@ std::size_t process_resident_bytes() noexcept {
 }
 
 namespace {
-void pad_to_page(std::ofstream& out) {
-  static char const zeros[kMappedPage] = {};
-  auto const pos = static_cast<std::uint64_t>(out.tellp());
-  std::uint64_t const pad =
-      (kMappedPage - pos % kMappedPage) % kMappedPage;
-  out.write(zeros, static_cast<std::streamsize>(pad));
-}
+
+/// A uniquely named temp file beside `path`, written front to back and
+/// renamed over `path` by `commit()`, so `path` only ever names a whole
+/// file: a reader that mapped the old file keeps its inode, and a crash
+/// leaves the old file or the new one.  A writer destroyed before its
+/// commit (a throw on the way) removes its temp file.
+class temp_file_writer {
+ public:
+  explicit temp_file_writer(std::string path) : path_(std::move(path)) {
+    static std::atomic<std::uint64_t> counter{0};
+    for (int attempt = 0; attempt < 16 && file_ == nullptr; ++attempt) {
+      tmp_ = path_ + ".tmp-" + std::to_string(process_id()) + "-" +
+             std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
+      file_ = std::fopen(tmp_.c_str(), "wbx");  // never an existing file
+    }
+    if (file_ == nullptr) {
+      tmp_.clear();
+      throw graph_error("write_mapped_graph: cannot open '" + path_ +
+                        "' for writing");
+    }
+  }
+  ~temp_file_writer() {
+    if (file_ != nullptr)
+      std::fclose(file_);
+    if (!tmp_.empty()) {
+      std::error_code ec;
+      std::filesystem::remove(tmp_, ec);
+    }
+  }
+  temp_file_writer(temp_file_writer const&) = delete;
+  temp_file_writer& operator=(temp_file_writer const&) = delete;
+
+  void write(void const* data, std::uint64_t len) {
+    if (std::fwrite(data, 1, len, file_) != len)
+      fail();
+    pos_ += len;
+  }
+
+  void pad_to_page() {
+    static char const zeros[kMappedPage] = {};
+    write(zeros, (kMappedPage - pos_ % kMappedPage) % kMappedPage);
+  }
+
+  /// Flush and fsync the temp file, rename it over `path`, and fsync the
+  /// directory so that the rename itself is durable.
+  void commit() {
+    bool ok = std::fflush(file_) == 0;
+#if ESSENTIALS_HAS_MMAP
+    ok = ok && ::fsync(::fileno(file_)) == 0;
+#endif
+    ok = std::fclose(file_) == 0 && ok;
+    file_ = nullptr;
+    std::error_code ec;
+    if (ok)
+      std::filesystem::rename(tmp_, path_, ec);
+    if (!ok || ec)
+      fail();
+    tmp_.clear();  // renamed: nothing left to remove
+#if ESSENTIALS_HAS_MMAP
+    auto dir = std::filesystem::path(path_).parent_path();
+    if (dir.empty())
+      dir = ".";
+    int const fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    // Some filesystems cannot fsync a directory (EINVAL); nothing to make
+    // durable there.
+    bool const synced = fd >= 0 && (::fsync(fd) == 0 || errno == EINVAL);
+    if (fd >= 0)
+      ::close(fd);
+    if (!synced)
+      fail();
+#endif
+  }
+
+ private:
+  static long process_id() noexcept {
+#if ESSENTIALS_HAS_MMAP
+    return static_cast<long>(::getpid());
+#else
+    return 0;
+#endif
+  }
+
+  [[noreturn]] void fail() const {
+    throw graph_error("write_mapped_graph: write failed for '" + path_ + "'");
+  }
+
+  std::string path_;
+  std::string tmp_;
+  std::FILE* file_ = nullptr;
+  std::uint64_t pos_ = 0;
+};
+
 }  // namespace
 
 void write_mapped_sections(std::string const& path, mapped_header const& h,
                            void const* rows, void const* blocks,
                            void const* adj, void const* weights) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out)
-    throw graph_error("write_mapped_graph: cannot open '" + path +
-                      "' for writing");
-  out.write(reinterpret_cast<char const*>(&h),
-            static_cast<std::streamsize>(sizeof h));
-  pad_to_page(out);
-  auto const section = [&out](void const* data, std::uint64_t len) {
-    out.write(static_cast<char const*>(data),
-              static_cast<std::streamsize>(len));
-    pad_to_page(out);
-  };
-  section(rows, h.len_rows);
-  section(blocks, h.len_blocks);
-  section(adj, h.len_adj);
-  section(weights, h.len_weights);
-  out.flush();
-  if (!out)
-    throw graph_error("write_mapped_graph: write failed for '" + path + "'");
+  temp_file_writer out(path);
+  out.write(&h, sizeof h);
+  out.pad_to_page();
+  for (auto const& [data, len] :
+       {std::pair{rows, h.len_rows}, std::pair{blocks, h.len_blocks},
+        std::pair{adj, h.len_adj}, std::pair{weights, h.len_weights}}) {
+    out.write(data, len);
+    out.pad_to_page();
+  }
+  out.commit();
 }
 
 }  // namespace essentials::io::detail

@@ -127,7 +127,11 @@ void write_mapped_sections(std::string const& path, mapped_header const& h,
                            void const* adj, void const* weights);
 }  // namespace detail
 
-/// Serialize a compressed graph into the page-aligned on-disk format.
+/// Serialize a compressed graph into the page-aligned on-disk format.  The
+/// bytes go to a uniquely named temp file beside `path`, which is fsynced
+/// and renamed over `path`: a reader that mapped the old file keeps
+/// reading it, and a crash leaves the old file or the new one, never a
+/// torn one.  A failure throws graph_error and leaves no temp file.
 template <typename V, typename E, typename W>
 void write_mapped_graph(std::string const& path,
                         graph::compressed_graph<V, E, W> const& g) {

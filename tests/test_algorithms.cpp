@@ -3,9 +3,13 @@
 // each parallel variant against its serial oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <numeric>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "algorithms/betweenness.hpp"
 #include "algorithms/coloring.hpp"
@@ -17,13 +21,20 @@
 #include "algorithms/spmv.hpp"
 #include "algorithms/triangle_counting.hpp"
 #include "core/execution.hpp"
+#include "core/telemetry.hpp"
 #include "generators/generators.hpp"
+#include "generators/random.hpp"
+#include "graph/compressed.hpp"
 #include "graph/graph.hpp"
+#include "io/mapped.hpp"
+#include "partition/partition.hpp"
+#include "partition/partitioned_graph.hpp"
 
 namespace alg = essentials::algorithms;
 namespace ex = essentials::execution;
 namespace g = essentials::graph;
 namespace gen = essentials::generators;
+namespace tel = essentials::telemetry;
 using essentials::vertex_t;
 
 namespace {
@@ -39,6 +50,45 @@ g::graph_full undirected(g::coo_t<> coo) {
 g::graph_full directed(g::coo_t<> coo) {
   g::remove_self_loops(coo);
   return g::from_coo<g::graph_full>(std::move(coo));
+}
+
+/// Cold CC under seq and par equals union-find bit for bit, and counts
+/// Afforest's link phases.
+template <typename G>
+void expect_cc_matches_union_find(G const& graph, std::string const& label) {
+  auto const oracle = alg::connected_components_serial(graph);
+  auto const seq = alg::connected_components(ex::seq, graph);
+  auto const par = alg::connected_components(ex::par, graph);
+  EXPECT_EQ(seq.labels, oracle.labels) << label << "/seq";
+  EXPECT_EQ(par.labels, oracle.labels) << label << "/par";
+  EXPECT_EQ(seq.num_components, oracle.num_components) << label << "/seq";
+  EXPECT_EQ(par.num_components, oracle.num_components) << label << "/par";
+  EXPECT_EQ(seq.iterations, alg::detail::afforest_phases) << label << "/seq";
+  EXPECT_EQ(par.iterations, alg::detail::afforest_phases) << label << "/par";
+}
+
+/// `coo` with every vertex v renamed n - 1 - v.
+g::coo_t<> reversed_ids(g::coo_t<> coo) {
+  vertex_t const last = coo.num_rows - 1;
+  for (auto& u : coo.row_indices)
+    u = last - u;
+  for (auto& v : coo.column_indices)
+    v = last - v;
+  return coo;
+}
+
+/// `coo` with its vertex ids shuffled by a seeded permutation.
+g::coo_t<> shuffled_ids(g::coo_t<> coo, std::uint64_t seed) {
+  std::vector<vertex_t> perm(static_cast<std::size_t>(coo.num_rows));
+  std::iota(perm.begin(), perm.end(), vertex_t{0});
+  gen::rng_t rng(seed);
+  for (std::size_t i = perm.size(); i > 1; --i)
+    std::swap(perm[i - 1], perm[rng.next_below(i)]);
+  for (auto& u : coo.row_indices)
+    u = perm[static_cast<std::size_t>(u)];
+  for (auto& v : coo.column_indices)
+    v = perm[static_cast<std::size_t>(v)];
+  return coo;
 }
 
 }  // namespace
@@ -134,24 +184,9 @@ TEST(ConnectedComponents, LabelPropagationMatchesUnionFind) {
   auto const oracle = alg::connected_components_serial(graph);
   auto const lp = alg::connected_components(ex::par, graph);
   EXPECT_EQ(lp.num_components, oracle.num_components);
-  // Same partition: labels agree up to renaming — min-label propagation and
-  // min-union-find both canonicalize to the component minimum.
+  // Same labels, not just the same partition: Afforest's roots and
+  // min-union-find both name a component by its minimum.
   EXPECT_EQ(lp.labels, oracle.labels);
-}
-
-TEST(ConnectedComponents, HookMatchesUnionFind) {
-  auto const graph = undirected(gen::erdos_renyi(300, 500, {}, 6));
-  auto const oracle = alg::connected_components_serial(graph);
-  auto const hook = alg::connected_components_hook(ex::par, graph);
-  EXPECT_EQ(hook.num_components, oracle.num_components);
-  // Hook labels are roots, not necessarily minima; compare partitions.
-  for (vertex_t u = 0; u < graph.get_num_vertices(); ++u) {
-    for (vertex_t v = u + 1; v < graph.get_num_vertices(); ++v) {
-      EXPECT_EQ(oracle.labels[u] == oracle.labels[v],
-                hook.labels[u] == hook.labels[v])
-          << u << "," << v;
-    }
-  }
 }
 
 TEST(ConnectedComponents, CountsIslandsAndClusters) {
@@ -208,8 +243,6 @@ TEST(ConnectedComponents, EveryVariantCountsIsolatedVertices) {
             distinct);
   EXPECT_EQ(alg::connected_components(ex::par, push_only).num_components,
             distinct);
-  EXPECT_EQ(alg::connected_components_hook(ex::par, graph).num_components,
-            distinct);
   alg::incremental_outcome out;
   auto const warm = alg::connected_components_incremental(
       ex::par, graph,
@@ -217,6 +250,144 @@ TEST(ConnectedComponents, EveryVariantCountsIsolatedVertices) {
       delta, &out);
   EXPECT_TRUE(out.warm_started);
   EXPECT_EQ(warm.num_components, distinct);
+}
+
+TEST(ConnectedComponents, EveryInputShapeMatchesUnionFind) {
+  expect_cc_matches_union_find(undirected(gen::grid_2d(30, 40)), "grid");
+  // Every vertex's out-edges are its sampled ones: the last phase links
+  // nothing, in id order and with the ids shuffled.
+  expect_cc_matches_union_find(undirected(gen::chain(5000)), "chain");
+  expect_cc_matches_union_find(
+      undirected(shuffled_ids(gen::chain(5000), 3)), "shuffled chain");
+  // The hub has the largest id, so every spoke's only edge points up and
+  // the hub's tree must end under spoke 0.
+  expect_cc_matches_union_find(undirected(reversed_ids(gen::star(2000))),
+                               "star");
+  gen::rmat_options opt;
+  opt.scale = 11;
+  opt.edge_factor = 8;
+  opt.seed = 17;
+  expect_cc_matches_union_find(undirected(gen::rmat(opt)), "rmat");
+  // Cliques on the even and on the odd ids, joined by the edge (50, 51),
+  // which sits past the first two out-edges of both ends: the sampling
+  // rounds leave two trees, and only the last phase joins them.
+  g::coo_t<> cliques;
+  cliques.num_rows = cliques.num_cols = 100;
+  for (vertex_t u = 0; u < 100; ++u)
+    for (vertex_t v = u + 2; v < 100; v += 2)
+      cliques.push_back(u, v, 1.f);
+  cliques.push_back(50, 51, 1.f);
+  expect_cc_matches_union_find(undirected(std::move(cliques)), "cliques");
+}
+
+TEST(ConnectedComponents, VotedLabelOfASingletonSkipsOnlyThatVertex) {
+  // Four pairs on ids 0-7 and 200 isolated vertices: the vote lands on an
+  // isolated vertex's label, so the last phase skips one vertex that has
+  // no edges and links every other vertex's remaining out-edges.
+  g::coo_t<> coo;
+  coo.num_rows = coo.num_cols = 208;
+  for (vertex_t u = 0; u < 8; u += 2)
+    coo.push_back(u, u + 1, 1.f);
+  auto const graph = undirected(std::move(coo));
+  auto const oracle = alg::connected_components_serial(graph);
+  // Every component is whole after the first sampling round, so the
+  // vote sees the final labels.
+  vertex_t const voted =
+      alg::detail::afforest_vote(oracle.labels.data(), oracle.labels.size());
+  ASSERT_EQ(std::count(oracle.labels.begin(), oracle.labels.end(), voted), 1)
+      << "the vote falls on a pair; this input no longer tests a singleton";
+  expect_cc_matches_union_find(graph, "isolated vertices and pairs");
+}
+
+TEST(ConnectedComponents, EmptyGraphAndSelfLoop) {
+  g::coo_t<> empty;
+  auto const none = g::from_coo<g::graph_push_pull>(std::move(empty));
+  expect_cc_matches_union_find(none, "empty");
+  EXPECT_EQ(alg::connected_components(ex::par, none).num_components, 0u);
+
+  g::coo_t<> loop;
+  loop.num_rows = loop.num_cols = 1;
+  loop.push_back(0, 0, 1.f);
+  auto const one = g::from_coo<g::graph_push_pull>(std::move(loop));
+  expect_cc_matches_union_find(one, "self-loop");
+  EXPECT_EQ(alg::connected_components(ex::seq, one).labels,
+            std::vector<vertex_t>{0});
+}
+
+TEST(ConnectedComponents, RecordedCallHasOneSuperstepPerLinkPhase) {
+  gen::rmat_options opt;
+  opt.scale = 10;
+  opt.seed = 23;
+  auto const graph = undirected(gen::rmat(opt));
+  auto const n = static_cast<std::size_t>(graph.get_num_vertices());
+  auto const m = static_cast<std::size_t>(graph.get_num_edges());
+  auto const check = [&](auto policy, char const* label) {
+    tel::trace t;
+    alg::cc_result<> r;
+    {
+      tel::scoped_recording rec(t, "cc");
+      r = alg::connected_components(policy, graph);
+    }
+    if (!tel::compiled_in) {
+      EXPECT_EQ(t.num_supersteps(), 0u) << label;
+      return;
+    }
+    EXPECT_EQ(t.num_supersteps(), r.iterations) << label;
+    std::size_t offered = 0, hooked = 0;
+    for (auto const& s : t.supersteps) {
+      ASSERT_EQ(s.ops.size(), 2u) << label;
+      EXPECT_EQ(s.ops[0].name, "cc.link") << label;
+      EXPECT_EQ(s.ops[1].name, "cc.compress") << label;
+      EXPECT_EQ(s.ops[1].edges_inspected, 0u) << label;
+      offered += s.ops[0].edges_inspected;
+      hooked += s.ops[0].edges_relaxed;
+    }
+    // Every hook joins two trees, and no out-edge is offered twice.
+    EXPECT_EQ(hooked, n - r.num_components) << label;
+    EXPECT_LE(offered, m) << label;
+  };
+  check(ex::seq, "seq");
+  check(ex::par, "par");
+}
+
+TEST(ConnectedComponents, EveryRepresentationMatchesPlainCsr) {
+  // One symmetric R-MAT behind every graph with a CSR view: the others
+  // reach "the r-th out-edge" through get_edges and their accessors.
+  gen::rmat_options opt;
+  opt.scale = 11;
+  opt.edge_factor = 8;
+  opt.seed = 29;
+  auto coo = gen::rmat(opt);
+  g::remove_self_loops(coo);
+  g::symmetrize(coo);
+  g::sort_and_deduplicate(coo, g::duplicate_policy::keep_min);
+  auto const csr = g::build_csr(coo);
+  g::graph_csr plain;
+  plain.set_csr(csr);
+  auto const want = alg::connected_components_serial(plain).labels;
+  ASSERT_LT(std::set<vertex_t>(want.begin(), want.end()).size(), want.size());
+
+  auto const expect_want = [&want](auto const& graph, char const* label) {
+    EXPECT_EQ(alg::connected_components(ex::seq, graph).labels, want)
+        << label << "/seq";
+    EXPECT_EQ(alg::connected_components(ex::par, graph).labels, want)
+        << label << "/par";
+  };
+  expect_want(plain, "csr");
+  expect_want(g::compressed_graph<>(csr), "compressed");
+  expect_want(essentials::partition::partitioned_graph_t<>(
+                  csr, essentials::partition::partition_random(
+                           csr.num_rows, 4, 31)),
+              "partitioned");
+
+  auto const dir = std::filesystem::temp_directory_path() /
+                   "essentials-cc-representations";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  auto const path = (dir / "g.blk").string();
+  essentials::io::write_mapped_graph(path, csr);
+  expect_want(essentials::io::mapped_graph<>(path), "mapped");
+  std::filesystem::remove_all(dir);
 }
 
 // --- triangle counting ------------------------------------------------------------

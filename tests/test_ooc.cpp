@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -230,6 +231,54 @@ TEST(Mapped, MoveTransfersTheMapping) {
   int count = 0;
   c.for_each_neighbor(0, [&count](vertex_t, weight_t) { ++count; });
   EXPECT_EQ(count, static_cast<int>(c.get_out_degree(0)));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Mapped, RewriteLeavesAnOpenMappingOnTheOldGraph) {
+  // Two graphs of one shape (the second renames every id v to 99 - v), so
+  // that a file rewritten in place would hold the new graph's sections at
+  // the old one's offsets: the open mapping would then decode the new
+  // graph instead of faulting.
+  auto const dir = fresh_dir("rewrite");
+  auto const path = dir + "/g.blk";
+  auto const old_csr = rmat_like(100, 300, 43);
+  g::coo_t<> renamed;
+  renamed.num_rows = renamed.num_cols = 100;
+  for (std::size_t u = 0; u < 100; ++u)
+    for (auto ed = static_cast<std::size_t>(old_csr.row_offsets[u]);
+         ed < static_cast<std::size_t>(old_csr.row_offsets[u + 1]); ++ed)
+      renamed.push_back(99 - static_cast<vertex_t>(u),
+                        99 - old_csr.column_indices[ed], old_csr.values[ed]);
+  auto const new_csr = canonical(std::move(renamed));
+  ASSERT_NE(old_csr.column_indices, new_csr.column_indices);
+  io::write_mapped_graph(path, old_csr);
+  io::mapped_graph<> open_before(path);
+  expect_same_csr(open_before.to_csr(), old_csr);
+
+  io::write_mapped_graph(path, new_csr);
+  expect_same_csr(open_before.to_csr(), old_csr);
+  expect_same_csr(io::mapped_graph<>(path).to_csr(), new_csr);
+  // The rename left only the one file behind.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator{}),
+            1);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Mapped, FailedRenameThrowsAndLeavesNoTempFile) {
+  // A directory sits at the target path, so the write reaches the rename
+  // and fails there.
+  auto const dir = fresh_dir("rename-fails");
+  auto const target = std::filesystem::path(dir) / "g.blk";
+  std::filesystem::create_directory(target);
+  EXPECT_THROW(io::write_mapped_graph(target.string(), rmat_like(50, 200, 47)),
+               e::graph_error);
+  std::vector<std::string> left;
+  for (auto const& entry : std::filesystem::directory_iterator(dir))
+    left.push_back(entry.path().filename().string());
+  EXPECT_EQ(left, std::vector<std::string>{"g.blk"});
+  EXPECT_TRUE(std::filesystem::is_directory(target));
+  EXPECT_TRUE(std::filesystem::is_empty(target));
   std::filesystem::remove_all(dir);
 }
 

@@ -1,13 +1,14 @@
 // Direction differential suite for relax_bsp: on a graph with a CSC view
-// the min-plus loop pulls its dense supersteps; SSSP, CC and the warm
-// (incremental) paths must land on the same fixed points as the oracles
-// and the cold runs, under seq and par, and graphs with only a CSR view
-// must never pull.
+// the min-plus loop pulls its dense supersteps; SSSP, label propagation
+// and the warm (incremental) paths must land on the same fixed points as
+// the oracles and the cold runs, under seq and par, and graphs with only a
+// CSR view must never pull.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <mutex>
+#include <numeric>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -104,8 +105,9 @@ std::size_t pulls_of(F&& f) {
   return pulls(t);
 }
 
-/// Cold SSSP and CC against their oracles, the three warm paths against
-/// the cold runs; returns the pull supersteps of (cold SSSP, cold CC).
+/// Cold SSSP, cold CC and label propagation from every vertex against
+/// their oracles, the three warm paths against the cold runs; returns the
+/// pull supersteps of (cold SSSP, label propagation).
 template <typename G, typename P>
 std::pair<std::size_t, std::size_t> check_relax(P policy,
                                                 g::coo_t<> const& edges,
@@ -118,15 +120,26 @@ std::pair<std::size_t, std::size_t> check_relax(P policy,
   vertex_t const source = 0;
 
   alg::sssp_result<> cold_sssp;
-  alg::cc_result<> cold_cc;
   std::size_t const sssp_pulls =
       pulls_of([&] { cold_sssp = alg::sssp(policy, full, source); });
-  std::size_t const cc_pulls =
-      pulls_of([&] { cold_cc = alg::connected_components(policy, full); });
+  // The CC program warm paths run, seeded with every vertex: a frontier
+  // whose out-edges are all the edges.
+  std::vector<vertex_t> every_vertex(
+      static_cast<std::size_t>(full.get_num_vertices()));
+  std::iota(every_vertex.begin(), every_vertex.end(), vertex_t{0});
+  std::vector<vertex_t> lp_labels = every_vertex;
+  std::size_t const cc_pulls = pulls_of([&] {
+    alg::relax_bsp(
+        policy, full, every_vertex,
+        alg::min_plus_condition<alg::constant_cost<vertex_t{0}>>(
+            lp_labels.data()));
+  });
+  auto const cold_cc = alg::connected_components(policy, full);
+  auto const oracle_cc = alg::connected_components_serial(full);
   EXPECT_EQ(cold_sssp.distances, alg::dijkstra(full, source).distances)
       << label << "/sssp";
-  EXPECT_EQ(cold_cc.labels, alg::connected_components_serial(full).labels)
-      << label << "/cc";
+  EXPECT_EQ(cold_cc.labels, oracle_cc.labels) << label << "/cc";
+  EXPECT_EQ(lp_labels, oracle_cc.labels) << label << "/label propagation";
 
   alg::incremental_outcome out_s, out_b, out_c;
   auto const warm_sssp = alg::sssp_incremental(
@@ -165,8 +178,9 @@ TEST_P(RelaxDirection, PushPullGraphsMatchOraclesAndPullDenseSupersteps) {
       check_relax<g::graph_push_pull>(ex::par, edges, family + "/par");
   if (!tel::compiled_in)
     return;
-  // CC seeds every vertex, a frontier whose out-edges are all the edges;
-  // SSSP's frontier grows past 1/alpha of the edges on all but the grid.
+  // Label propagation seeds every vertex, a frontier whose out-edges are
+  // all the edges; SSSP's frontier grows past 1/alpha of the edges on all
+  // but the grid.
   EXPECT_GT(seq_cc, 0u) << family;
   EXPECT_GT(par_cc, 0u) << family;
   if (family != "grid") {
